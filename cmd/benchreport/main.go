@@ -9,8 +9,8 @@
 //	benchreport -exp F5      # one experiment
 //	benchreport -markdown    # markdown tables (EXPERIMENTS.md format)
 //	benchreport -json        # machine-readable JSON tables
-//	benchreport -bench       # scaling benchmarks → BENCH_PERF.json
-//	benchreport -check       # fail on >20% hot-path regression vs BENCH_PERF.json
+//
+// Serving performance is measured by bench/ (bash bench/run.sh), not here.
 package main
 
 import (
@@ -26,36 +26,8 @@ func main() {
 	exp := flag.String("exp", "", "run a single experiment: F1 F2 F3 T1 F4 F5 QAIR ONTO IRFILTER PSIZE FEED")
 	markdown := flag.Bool("markdown", false, "emit markdown tables")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON tables")
-	bench := flag.Bool("bench", false, "run the OLAP/IR scaling benchmarks and write BENCH_PERF.json")
-	check := flag.Bool("check", false, "re-measure the tracked hot paths and fail on >20% ns/op or allocs/op regression vs the baseline")
-	baseline := flag.String("baseline", "BENCH_PERF.json", "baseline artefact -check compares against")
-	outDir := flag.String("out", ".", "directory for BENCH_*.json artefacts")
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	flag.Parse()
-
-	if *check {
-		if *bench || *exp != "" || *markdown || *jsonOut {
-			fmt.Fprintln(os.Stderr, "benchreport: -check cannot be combined with -bench, -exp, -markdown or -json")
-			os.Exit(2)
-		}
-		if err := runCheck(*baseline, *seed); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *bench {
-		if *exp != "" || *markdown || *jsonOut {
-			fmt.Fprintln(os.Stderr, "benchreport: -bench cannot be combined with -exp, -markdown or -json")
-			os.Exit(2)
-		}
-		rep, err := runPerf(*outDir, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		printPerf(rep)
-		return
-	}
 
 	s := &eval.Suite{Seed: *seed}
 	runs := map[string]func() (*eval.Table, error){

@@ -69,9 +69,8 @@ func NewScenarioTranslator(wh nl2olap.Warehouse, onto *ontology.Ontology) (*nl2o
 }
 
 // AnalyticQuestions is the canonical analytic workload of the scenario:
-// the question shapes the translator compiles, used by the mixed serving
-// benchmarks (bench_test.go and cmd/benchreport share it so
-// BENCH_PERF.json measures the same workload CI benchmarks).
+// the question shapes the translator compiles, replayed by the engine,
+// sharding and recovery tests.
 func AnalyticQuestions() []string {
 	return []string{
 		"What is the average temperature in Barcelona by month?",

@@ -119,7 +119,7 @@ func (sc *ScaledCorpus) Queries() [][]string {
 
 // VerifyScaledIR asserts the sparse scorer and the retained dense
 // reference rank every workload query byte-identically at top-k — the
-// equivalence gate both benchmark harnesses run before timing anything.
+// equivalence gate BenchmarkIRSearch runs before timing anything.
 func VerifyScaledIR(sc *ScaledCorpus, k int) error {
 	for _, terms := range sc.Queries() {
 		sparse := sc.Index.Search(terms, k)
@@ -144,32 +144,10 @@ func VerifyScaledIR(sc *ScaledCorpus, k int) error {
 	return nil
 }
 
-// RunIRSearchSparse runs n sparse passage searches cycling through the
-// workload queries — the timed loop body of the IR scaling benchmarks in
-// both harnesses (bench_test.go and cmd/benchreport).
-func RunIRSearchSparse(ix *ir.Index, queries [][]string, k, n int) error {
-	for i := 0; i < n; i++ {
-		if len(ix.Search(queries[i%len(queries)], k)) == 0 {
-			return fmt.Errorf("sparse search returned no results")
-		}
-	}
-	return nil
-}
-
-// RunIRSearchDense is RunIRSearchSparse for the dense reference scorer.
-func RunIRSearchDense(ix *ir.Index, queries [][]string, k, n int) error {
-	for i := 0; i < n; i++ {
-		if len(ix.SearchReference(queries[i%len(queries)], k)) == 0 {
-			return fmt.Errorf("dense search returned no results")
-		}
-	}
-	return nil
-}
-
 // ColdQuestionWorkload derives an all-unique factoid question workload
 // from the pipeline's scenario questions — the cache-defeating traffic
-// shape of BenchmarkAskCold (diverse traffic from many users is
-// cache-miss traffic; the cold path is what it exercises).
+// shape of many users asking diverse questions (cache-miss traffic; the
+// cold path is what it exercises).
 func ColdQuestionWorkload(p interface{ WeatherQuestions() []string }) []string {
 	unique := p.WeatherQuestions()
 	out := make([]string, 0, len(unique))

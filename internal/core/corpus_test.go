@@ -58,16 +58,9 @@ func TestBuildScaledCorpus(t *testing.T) {
 		}
 	}
 
-	// Sparse and dense must agree before anything is benchmarked...
+	// Sparse and dense must agree before anything is benchmarked.
 	if err := VerifyScaledIR(sc, 10); err != nil {
 		t.Fatalf("VerifyScaledIR: %v", err)
-	}
-	// ...and the shared timed loop bodies must run clean.
-	if err := RunIRSearchSparse(sc.Index, queries, 10, 3); err != nil {
-		t.Errorf("RunIRSearchSparse: %v", err)
-	}
-	if err := RunIRSearchDense(sc.Index, queries, 10, 3); err != nil {
-		t.Errorf("RunIRSearchDense: %v", err)
 	}
 }
 
@@ -82,18 +75,6 @@ func TestBuildScaledCorpusTinyTarget(t *testing.T) {
 }
 
 func TestScaledIRErrorPaths(t *testing.T) {
-	sc, err := BuildScaledCorpus(50, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A no-match workload must surface as an error, not silent zero work.
-	bad := [][]string{{"zzzunmatchable"}}
-	if err := RunIRSearchSparse(sc.Index, bad, 5, 1); err == nil {
-		t.Error("RunIRSearchSparse accepted a no-match workload")
-	}
-	if err := RunIRSearchDense(sc.Index, bad, 5, 1); err == nil {
-		t.Error("RunIRSearchDense accepted a no-match workload")
-	}
 	// Verification over an empty index reports the missing passages.
 	empty := &ScaledCorpus{Index: ir.NewIndex(), Cities: []string{"Alderford"}}
 	if err := VerifyScaledIR(empty, 5); err == nil {

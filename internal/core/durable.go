@@ -151,28 +151,16 @@ func configFingerprint(cfg Config) string {
 // recoverPipeline rebuilds a pipeline around restored state: bulk-import
 // the warehouse and index, adopt the ontology, rebuild the cheap derived
 // pieces (corpus metadata, lexicon merge, QA tuning).
-func recoverPipeline(cfg Config, state *State) (*Pipeline, error) {
+func recoverPipeline(cfg Config, state *store.State) (*Pipeline, error) {
 	cfg = normalizeConfig(cfg)
 	if state.Fingerprint != "" && state.Fingerprint != configFingerprint(cfg) {
 		return nil, fmt.Errorf(
 			"core: data directory was created with different scenario parameters (%s) than this boot (%s); restart with matching flags or a fresh data directory",
 			state.Fingerprint, configFingerprint(cfg))
 	}
-	schema := Figure1Schema()
-	wh, err := dw.New(schema)
+	wh, index, onto, err := importState(state)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if err := wh.Import(state.DW); err != nil {
-		return nil, fmt.Errorf("core: restoring warehouse: %w", err)
-	}
-	index := ir.NewIndex() // geometry comes from the snapshot
-	if err := index.Import(state.IR); err != nil {
-		return nil, fmt.Errorf("core: restoring index: %w", err)
-	}
-	onto, err := ontology.FromSnapshot(state.Onto)
-	if err != nil {
-		return nil, fmt.Errorf("core: restoring ontology: %w", err)
+		return nil, err
 	}
 
 	// The corpus object itself is synthetic and cheap (page metadata, no
@@ -182,7 +170,7 @@ func recoverPipeline(cfg Config, state *State) (*Pipeline, error) {
 
 	p := &Pipeline{
 		Config:    cfg,
-		Schema:    schema,
+		Schema:    wh.Schema(),
 		Warehouse: wh,
 		Corpus:    corpus,
 		Index:     index,
@@ -202,8 +190,38 @@ func recoverPipeline(cfg Config, state *State) (*Pipeline, error) {
 	return p, nil
 }
 
-// State is re-exported for the durability benchmarks.
-type State = store.State
+// RestoreState decodes an encoded snapshot and bulk-loads the warehouse,
+// index and ontology it holds — the restore half of recovery, without the
+// pipeline built around it.
+func RestoreState(snapBytes []byte) (*dw.Warehouse, *ir.Index, *ontology.Ontology, error) {
+	state, err := store.DecodeState(snapBytes)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return importState(state)
+}
+
+// importState bulk-loads the warehouse, index and ontology of a decoded
+// snapshot: columns, postings and analysed sentences are adopted as
+// stored, nothing is re-analysed.
+func importState(state *store.State) (*dw.Warehouse, *ir.Index, *ontology.Ontology, error) {
+	wh, err := dw.New(Figure1Schema())
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: %w", err)
+	}
+	if err := wh.Import(state.DW); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: restoring warehouse: %w", err)
+	}
+	index := ir.NewIndex() // geometry comes from the snapshot
+	if err := index.Import(state.IR); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: restoring index: %w", err)
+	}
+	onto, err := ontology.FromSnapshot(state.Onto)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: restoring ontology: %w", err)
+	}
+	return wh, index, onto, nil
+}
 
 // integrateToStep4 runs the setup steps of the five-step model.
 func (p *Pipeline) integrateToStep4() error {

@@ -428,8 +428,7 @@ func (p *Pipeline) Engine() (*engine.Engine, error) {
 	// Durable pipelines wire the engine into the store so SnapshotTo and
 	// background snapshots work, and /healthz reports recovery stats. The
 	// store reports its WAL append/fsync latency into the engine's
-	// registry (nil histograms under NoObserve — the store then skips its
-	// clock readings).
+	// registry.
 	if p.st != nil {
 		eng.SetDurability(p, p.st, p.recovery)
 		p.st.SetMetrics(store.Metrics{
@@ -443,9 +442,8 @@ func (p *Pipeline) Engine() (*engine.Engine, error) {
 
 // NewHarvester builds the Step 5 harvesting system: the tuned QA system
 // with the wide harvest passage budget (a month of daily records needs
-// more passages than a single-answer question). The serving engine and
-// the benchmarks share this recipe so they always measure the system the
-// pipeline actually feeds with.
+// more passages than a single-answer question). The serving engine uses
+// this recipe, so /harvest runs the system the pipeline feeds with.
 func (p *Pipeline) NewHarvester() (*qa.System, error) {
 	harvestCfg := p.Config.QA
 	harvestCfg.TopPassages = p.Config.HarvestPassages

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"dwqa/internal/dw"
-	"dwqa/internal/ir"
 	"dwqa/internal/mdm"
 	"dwqa/internal/webcorpus"
 )
@@ -286,8 +285,8 @@ func PopulateScenarioScaled(wh ScenarioTarget, year int, months []int, seed int6
 // ScaledOLAPQuery is the canonical workload of the OLAP scaling
 // benchmarks: a grouped roll-up (destination country × month) with a dice
 // filter on the destination city — the hot path of the BI analysis at
-// warehouse scale. bench_test.go and cmd/benchreport share it so
-// BENCH_PERF.json measures the same query CI benchmarks.
+// warehouse scale. BenchmarkOLAPExecute times it and the sharded
+// equivalence tests replay it.
 func ScaledOLAPQuery() dw.Query {
 	return dw.Query{
 		Fact: "LastMinuteSales", Measure: "Price", Agg: dw.Sum,
@@ -300,65 +299,6 @@ func ScaledOLAPQuery() dw.Query {
 			Values: []string{"Barcelona", "Madrid", "New York", "Seville"},
 		}},
 	}
-}
-
-// PrepareScaledBenchmark builds a warehouse of at least targetRows sales
-// rows and verifies the compiled and reference OLAP engines agree on
-// ScaledOLAPQuery before anything is timed. Both benchmark harnesses
-// (bench_test.go and cmd/benchreport) share it so BENCH_PERF.json always
-// measures exactly what CI's benchmarks measure.
-func PrepareScaledBenchmark(targetRows int, seed int64) (*dw.Warehouse, dw.Query, error) {
-	wh, err := BuildScaledWarehouse(targetRows, seed)
-	if err != nil {
-		return nil, dw.Query{}, err
-	}
-	q := ScaledOLAPQuery()
-	got, err := wh.Execute(q)
-	if err != nil {
-		return nil, dw.Query{}, err
-	}
-	want, err := wh.ExecuteReference(q)
-	if err != nil {
-		return nil, dw.Query{}, err
-	}
-	if err := ResultsAlmostEqual(got, want); err != nil {
-		return nil, dw.Query{}, fmt.Errorf("engines diverge over %d rows: %w",
-			wh.FactCount("LastMinuteSales"), err)
-	}
-	return wh, q, nil
-}
-
-// RunCompiledOLAP executes the query n times with the compiled engine —
-// the exact loop body both benchmark harnesses (bench_test.go and
-// cmd/benchreport) time, shared so neither drifts.
-func RunCompiledOLAP(wh *dw.Warehouse, q dw.Query, n int) error {
-	for i := 0; i < n; i++ {
-		if _, err := wh.Execute(q); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunReferenceOLAP is RunCompiledOLAP for the row-at-a-time engine.
-func RunReferenceOLAP(wh *dw.Warehouse, q dw.Query, n int) error {
-	for i := 0; i < n; i++ {
-		if _, err := wh.ExecuteReference(q); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunIRSearchTopK runs the passage search n times — the timed loop body of
-// the IR benchmark in both harnesses.
-func RunIRSearchTopK(ix *ir.Index, terms []string, k, n int) error {
-	for i := 0; i < n; i++ {
-		if len(ix.Search(terms, k)) == 0 {
-			return fmt.Errorf("search returned no results")
-		}
-	}
-	return nil
 }
 
 // ResultsAlmostEqual compares two OLAP results: groups and per-row fact
@@ -396,8 +336,7 @@ func ResultsAlmostEqual(a, b *dw.Result) error {
 // BuildScaledWarehouse returns a Figure 1 warehouse whose LastMinuteSales
 // fact holds at least targetRows rows, by probing the unscaled generator
 // once and then re-running it with the demand multiplier that reaches the
-// target. Deterministic given the seed; used by the scaling benchmarks and
-// cmd/benchreport.
+// target. Deterministic given the seed; used by BenchmarkOLAPExecute.
 func BuildScaledWarehouse(targetRows int, seed int64) (*dw.Warehouse, error) {
 	year, months := 2004, []int{1, 2, 3}
 	probe, err := dw.New(Figure1Schema())

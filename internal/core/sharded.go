@@ -247,8 +247,7 @@ func (sp *ShardedPipeline) Engine() (*engine.Engine, error) {
 	if sp.follower != nil {
 		eng.SetReadOnlyReplica()
 	}
-	// Per-shard fan-out latency lands in the engine's stage histograms
-	// (nil under NoObserve — the cluster then never reads the clock).
+	// Per-shard fan-out latency lands in the engine's stage histograms.
 	sp.Cluster.SetFanoutHistogram(eng.StageHistogram(obs.StageShardFanout))
 	eng.SetDefaultHarvest(sp.WeatherQuestions())
 	trans, err := NewScenarioTranslator(sp.Cluster, sp.qaOntology())

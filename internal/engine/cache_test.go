@@ -119,9 +119,9 @@ func TestCacheFlushRaceNeverServesStaleAnswer(t *testing.T) {
 	e := &Engine{
 		cache:      newAnswerCache(64),
 		workers:    4,
-		gate:       newGate(-1, 0),
+		gate:       newGate(-1, 0, nil, nil),
 		askTimeout: -1,
-		met:        newEngineMetrics(false),
+		met:        newEngineMetrics(),
 	}
 	e.answerFn = func(string) (*qa.Result, qa.Timings, error) {
 		return &qa.Result{Candidates: []qa.Answer{{Score: float64(state.Load())}}}, qa.Timings{}, nil

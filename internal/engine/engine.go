@@ -83,18 +83,6 @@ type Config struct {
 	// HarvestTimeout is the same for HarvestAll. Zero selects
 	// DefaultHarvestTimeout; negative disables.
 	HarvestTimeout time.Duration
-	// FullFlushOnFeed restores the pre-selective behaviour: every
-	// committed feed flushes the whole answer cache instead of evicting
-	// only the entries whose dependency tags the feed touched. Kept as
-	// an opt-back knob and as the oracle/baseline the equivalence tests
-	// and benchmarks compare selective invalidation against.
-	FullFlushOnFeed bool
-	// NoObserve disables per-request stage timing: no span is stamped
-	// and no clock is read on the ask/harvest paths. Counters and
-	// gauges stay live (Stats and /metrics keep reporting totals); the
-	// per-stage latency histograms simply receive no observations. This
-	// is the baseline arm of the observability overhead benchmark.
-	NoObserve bool
 }
 
 // ErrPanic reports that a question's processing panicked. The panic was
@@ -114,7 +102,10 @@ type Engine struct {
 	index     CorpusStats
 	cache     *answerCache
 	workers   int
-	fullFlush bool // Config.FullFlushOnFeed
+	// fullFlush flushes the whole answer cache on every committed feed
+	// instead of evicting by tag: the oracle the equivalence tests
+	// compare selective invalidation against (export_test.go).
+	fullFlush bool
 
 	// Resilience plumbing (gate.go, degrade.go): admission control,
 	// per-request deadlines, and the degraded read-only latch.
@@ -130,9 +121,8 @@ type Engine struct {
 	met *engineMetrics
 
 	// answerFn/harvestFn are the per-question work functions; they default
-	// to the wrapped qa.Systems' entry points (timed when stage timing is
-	// on — the Timings return is by value, so the hot path allocates
-	// nothing for it) and exist as seams so tests can inject panicking or
+	// to the wrapped qa.Systems' timed entry points (the Timings return is
+	// by value, so the hot path allocates nothing for it) and exist as seams so tests can inject panicking or
 	// stateful implementations (export_test.go).
 	answerFn  func(question string) (*qa.Result, qa.Timings, error)
 	harvestFn func(question string) ([]qa.Answer, *qa.Result, qa.Timings, error)
@@ -230,16 +220,11 @@ func New(cfg Config, ask, harvester *qa.System, loader *etl.Loader, index Corpus
 	if harvestTimeout == 0 {
 		harvestTimeout = DefaultHarvestTimeout
 	}
-	met := newEngineMetrics(cfg.NoObserve)
+	met := newEngineMetrics()
 	// The cache and gate count on the registry's counters directly, so
 	// Stats and /metrics read the same cells.
 	cache := newAnswerCache(cacheSize)
 	cache.hits, cache.misses, cache.evicted = met.cacheHits, met.cacheMisses, met.cacheEvicted
-	g := newGate(cfg.MaxInflight, cfg.MaxQueue)
-	g.shed = met.shedTotal
-	if met.timing {
-		g.queueWait = met.queueWait
-	}
 	e := &Engine{
 		ask:            ask,
 		harvester:      harvester,
@@ -247,25 +232,12 @@ func New(cfg Config, ask, harvester *qa.System, loader *etl.Loader, index Corpus
 		index:          index,
 		cache:          cache,
 		workers:        workers,
-		fullFlush:      cfg.FullFlushOnFeed,
-		gate:           g,
+		gate:           newGate(cfg.MaxInflight, cfg.MaxQueue, met.shedTotal, met.queueWait),
 		askTimeout:     askTimeout,
 		harvestTimeout: harvestTimeout,
 		met:            met,
-	}
-	if met.timing {
-		e.answerFn = ask.AnswerTimed
-		e.harvestFn = harvester.HarvestTimed
-	} else {
-		// NoObserve: the untimed entry points take no clock readings.
-		e.answerFn = func(q string) (*qa.Result, qa.Timings, error) {
-			r, err := ask.Answer(q)
-			return r, qa.Timings{}, err
-		}
-		e.harvestFn = func(q string) ([]qa.Answer, *qa.Result, qa.Timings, error) {
-			a, r, err := harvester.Harvest(q)
-			return a, r, qa.Timings{}, err
-		}
+		answerFn:       ask.AnswerTimed,
+		harvestFn:      harvester.HarvestTimed,
 	}
 	met.registerEngineFuncs(e)
 	return e, nil
@@ -411,7 +383,7 @@ func (e *Engine) AskAll(ctx context.Context, questions []string) []AskResult {
 		// computed, errored, panicked — lands in the histograms with its
 		// outcome, and a slow task logs its breakdown when armed.
 		var sp obs.Span
-		taskStart := e.met.now()
+		taskStart := time.Now()
 		outcome := "ok"
 		// Panic isolation: a module blowing up on one question fails that
 		// question's slots, not the process and not the batch.
@@ -424,7 +396,7 @@ func (e *Engine) AskAll(ctx context.Context, questions []string) []AskResult {
 					out[i] = AskResult{Question: out[i].Question, Err: err}
 				}
 			}
-			e.met.finish(&sp, taskStart, t.text, outcome)
+			e.met.tracer.Finish(&sp, time.Since(taskStart), t.text, outcome)
 		}()
 		// Deadline check per task: answer modules are CPU-bound and not
 		// individually cancellable, so expiry is observed between
@@ -436,9 +408,9 @@ func (e *Engine) AskAll(ctx context.Context, questions []string) []AskResult {
 			}
 			return
 		}
-		lookupStart := e.met.now()
+		lookupStart := time.Now()
 		cached, ok, epoch := e.cache.get(t.key)
-		e.met.stamp(&sp, obs.StageCacheLookup, lookupStart)
+		sp.Observe(obs.StageCacheLookup, time.Since(lookupStart))
 		if ok {
 			for _, i := range t.indices {
 				out[i].Result = cached.qa
@@ -452,16 +424,9 @@ func (e *Engine) AskAll(ctx context.Context, questions []string) []AskResult {
 		// analytic question the metadata cannot ground is an error —
 		// never a silently wrong factoid answer.
 		if trans := e.trans.Load(); trans != nil {
-			var ans *nl2olap.Answer
-			var err error
-			if e.met.timing {
-				var otm nl2olap.Timings
-				ans, otm, err = trans.AnswerTimed(t.text)
-				sp.Observe(obs.StageOLAPCompile, otm.Compile)
-				sp.Observe(obs.StageOLAPExecute, otm.Execute)
-			} else {
-				ans, err = trans.Answer(t.text)
-			}
+			ans, otm, err := trans.AnswerTimed(t.text)
+			sp.Observe(obs.StageOLAPCompile, otm.Compile)
+			sp.Observe(obs.StageOLAPExecute, otm.Execute)
 			switch {
 			case err == nil:
 				// Tagged with the warehouse members/facts the plan reads,
@@ -481,11 +446,9 @@ func (e *Engine) AskAll(ctx context.Context, questions []string) []AskResult {
 			}
 		}
 		res, qtm, err := e.answerFn(t.text)
-		if e.met.timing {
-			sp.Observe(obs.StageNLPAnalyse, qtm.Analyse)
-			sp.Observe(obs.StageIRSearch, qtm.Search)
-			sp.Observe(obs.StageQAExtract, qtm.Extract)
-		}
+		sp.Observe(obs.StageNLPAnalyse, qtm.Analyse)
+		sp.Observe(obs.StageIRSearch, qtm.Search)
+		sp.Observe(obs.StageQAExtract, qtm.Extract)
 		if err == nil {
 			// epoch-checked: a feed committed mid-computation drops the
 			// insert instead of resurrecting a pre-feed answer. Factoid
@@ -564,8 +527,7 @@ type HarvestResult struct {
 // loaded/skipped counts match a sequential harvest-and-load loop exactly.
 // An empty batch falls back to the engine's default harvest workload.
 // After a commit the feed generation bumps and the answer cache evicts
-// the entries whose dependency tags the feed touched (everything, with
-// Config.FullFlushOnFeed). Extraction failures are per-question (Err in
+// the entries whose dependency tags the feed touched. Extraction failures are per-question (Err in
 // the slot); the batch still loads the questions that succeeded.
 //
 // Resilience semantics: a degraded engine refuses the feed outright with
@@ -601,7 +563,7 @@ func (e *Engine) HarvestAll(ctx context.Context, questions []string) ([]HarvestR
 	e.forEach(len(questions), func(i int) {
 		items[i].Question = questions[i]
 		var sp obs.Span
-		taskStart := e.met.now()
+		taskStart := time.Now()
 		outcome := "ok"
 		defer func() {
 			if r := recover(); r != nil {
@@ -610,7 +572,7 @@ func (e *Engine) HarvestAll(ctx context.Context, questions []string) ([]HarvestR
 				items[i].Answers = nil
 				items[i].Err = fmt.Errorf("%w harvesting %q: panic: %v", ErrPanic, questions[i], r)
 			}
-			e.met.finish(&sp, taskStart, questions[i], outcome)
+			e.met.tracer.Finish(&sp, time.Since(taskStart), questions[i], outcome)
 		}()
 		if err := ctx.Err(); err != nil {
 			outcome = "timeout"
@@ -618,11 +580,9 @@ func (e *Engine) HarvestAll(ctx context.Context, questions []string) ([]HarvestR
 			return
 		}
 		answers, _, qtm, err := e.harvestFn(questions[i])
-		if e.met.timing {
-			sp.Observe(obs.StageNLPAnalyse, qtm.Analyse)
-			sp.Observe(obs.StageIRSearch, qtm.Search)
-			sp.Observe(obs.StageQAExtract, qtm.Extract)
-		}
+		sp.Observe(obs.StageNLPAnalyse, qtm.Analyse)
+		sp.Observe(obs.StageIRSearch, qtm.Search)
+		sp.Observe(obs.StageQAExtract, qtm.Extract)
 		items[i].Answers = answers
 		items[i].Err = err
 		if err != nil {

@@ -13,7 +13,7 @@ import (
 // newEquivalencePair builds two pipelines over the identical scenario
 // (same seed, corpus, warehouse) whose engines differ in exactly one
 // knob: selective tag-based invalidation (the default) versus the
-// flush-everything-on-feed oracle (Config.FullFlushOnFeed). Driving both
+// flush-everything-on-feed oracle (SetFullFlushForTest). Driving both
 // through the same feed/ask sequence must produce byte-identical
 // answers — the oracle recomputes everything post-feed, so any
 // divergence means selective invalidation under-evicted and served a
@@ -42,9 +42,7 @@ func newEquivalencePair(t *testing.T) (sel, oracle *engine.Engine, pool []string
 // the hit-rate benchmark.
 func newFlushConfiguredEngine(tb testing.TB, fullFlush bool) *engine.Engine {
 	tb.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Engine.FullFlushOnFeed = fullFlush
-	p, err := core.NewPipeline(cfg)
+	p, err := core.NewPipeline(core.DefaultConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -60,6 +58,7 @@ func newFlushConfiguredEngine(tb testing.TB, fullFlush bool) *engine.Engine {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	eng.SetFullFlushForTest(fullFlush)
 	return eng
 }
 

@@ -27,6 +27,11 @@ func (e *Engine) SetHarvestFnForTest(fn func(string) ([]qa.Answer, *qa.Result, e
 	}
 }
 
+// SetFullFlushForTest makes every committed feed flush the whole answer
+// cache instead of evicting by tag — the oracle selective invalidation
+// is checked against. Call it before the engine serves.
+func (e *Engine) SetFullFlushForTest(on bool) { e.fullFlush = on }
+
 // EnterDegradedForTest latches degraded read-only mode directly.
 func (e *Engine) EnterDegradedForTest(reason string) { e.enterDegraded(reason) }
 

@@ -44,11 +44,10 @@ type gate struct {
 
 	queued   atomic.Int64
 	inflight atomic.Int64
-	// shed counts rejected requests. The engine replaces it with its
-	// metrics registry's cell (New); a standalone gate gets a private
-	// zero-value counter. queueWait, when set, observes how long
+	// shed counts rejected requests; queueWait observes how long
 	// saturated requests waited for a slot — only the slow (queued)
-	// path reads the clock, the uncontended fast path never does.
+	// path reads the clock, the uncontended fast path never does. Both
+	// are cells of the engine's metrics registry.
 	shed      *obs.Counter
 	queueWait *obs.Histogram
 }
@@ -56,8 +55,8 @@ type gate struct {
 // newGate builds a gate admitting maxInflight concurrent requests with a
 // wait queue of maxQueue. maxInflight < 0 disables admission control;
 // maxQueue < 0 means no queue (immediate shed once saturated).
-func newGate(maxInflight, maxQueue int) *gate {
-	g := &gate{shed: &obs.Counter{}}
+func newGate(maxInflight, maxQueue int, shed *obs.Counter, queueWait *obs.Histogram) *gate {
+	g := &gate{shed: shed, queueWait: queueWait}
 	if maxInflight < 0 {
 		return g
 	}
@@ -99,15 +98,10 @@ func (g *gate) acquire(ctx context.Context) error {
 		return ErrShed
 	}
 	defer g.queued.Add(-1)
-	var waitStart time.Time
-	if g.queueWait != nil {
-		waitStart = time.Now()
-	}
+	waitStart := time.Now()
 	select {
 	case g.slots <- struct{}{}:
-		if g.queueWait != nil {
-			g.queueWait.Observe(time.Since(waitStart))
-		}
+		g.queueWait.Observe(time.Since(waitStart))
 		g.inflight.Add(1)
 		return nil
 	case <-ctx.Done():

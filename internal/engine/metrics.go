@@ -11,15 +11,9 @@ import (
 // request tracer and the counter handles the serving paths increment.
 // The counters are the single source of truth: Stats()/healthz and the
 // /metrics exposition both read them, so the two views can never drift.
-//
-// timing gates every clock reading on the ask/harvest hot paths
-// (Config.NoObserve turns it off); counters stay live either way, so an
-// unobserved engine still reports correct totals — it just stops
-// measuring durations.
 type engineMetrics struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
-	timing bool
 
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
@@ -32,12 +26,11 @@ type engineMetrics struct {
 	snapshotBytes *obs.Gauge
 }
 
-func newEngineMetrics(noObserve bool) *engineMetrics {
+func newEngineMetrics() *engineMetrics {
 	reg := obs.NewRegistry()
 	return &engineMetrics{
 		reg:    reg,
 		tracer: obs.NewTracer(reg),
-		timing: !noObserve,
 		cacheHits: reg.Counter("dwqa_cache_hits_total",
 			"Answer-cache hits."),
 		cacheMisses: reg.Counter("dwqa_cache_misses_total",
@@ -57,32 +50,6 @@ func newEngineMetrics(noObserve bool) *engineMetrics {
 		snapshotBytes: reg.Gauge("dwqa_snapshot_bytes",
 			"Size of the last published snapshot."),
 	}
-}
-
-// now reads the wall clock only when stage timing is on; the zero time
-// it returns otherwise is never looked at (stamp/finish no-op too).
-func (m *engineMetrics) now() time.Time {
-	if !m.timing {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// stamp records one stage's duration since start into the span.
-func (m *engineMetrics) stamp(sp *obs.Span, st obs.Stage, start time.Time) {
-	if !m.timing {
-		return
-	}
-	sp.Observe(st, time.Since(start))
-}
-
-// finish folds the span into the stage histograms and, when armed,
-// the sampled slow-query log.
-func (m *engineMetrics) finish(sp *obs.Span, start time.Time, label, outcome string) {
-	if !m.timing {
-		return
-	}
-	m.tracer.Finish(sp, time.Since(start), label, outcome)
 }
 
 // registerEngineFuncs registers the gauges and counter funcs that read
@@ -158,30 +125,19 @@ func (m *engineMetrics) registerEngineFuncs(e *Engine) {
 func (e *Engine) Metrics() *obs.Registry { return e.met.reg }
 
 // StageHistogram returns the latency histogram behind one pipeline
-// stage, or nil when Config.NoObserve disabled stage timing. Callers
-// wiring lower layers (WAL append, shard fan-out) pass the result down
-// and skip their clock readings on nil.
+// stage. Callers wiring lower layers (WAL append, shard fan-out) pass
+// it down.
 func (e *Engine) StageHistogram(st obs.Stage) *obs.Histogram {
-	if !e.met.timing {
-		return nil
-	}
 	return e.met.tracer.StageHistogram(st)
 }
 
 // WALFsyncHistogram returns the dwqa_wal_fsync_seconds histogram for
-// store wiring, nil when Config.NoObserve disabled timing.
-func (e *Engine) WALFsyncHistogram() *obs.Histogram {
-	if !e.met.timing {
-		return nil
-	}
-	return e.met.walFsync
-}
+// store wiring.
+func (e *Engine) WALFsyncHistogram() *obs.Histogram { return e.met.walFsync }
 
 // SetSlowQueryLog arms (threshold > 0) or disarms the sampled
 // slow-query log: a request slower than threshold logs its per-stage
-// span breakdown through logf, at most one line per second. With
-// Config.NoObserve the spans are never stamped, so arming it is a
-// no-op in effect.
+// span breakdown through logf, at most one line per second.
 func (e *Engine) SetSlowQueryLog(threshold time.Duration, logf func(format string, args ...any)) {
 	e.met.tracer.SetSlowQuery(threshold, logf)
 }

@@ -142,7 +142,7 @@ func (e *Engine) SnapshotTo() (store.SnapshotInfo, error) {
 	}
 	var info store.SnapshotInfo
 	var err error
-	publishStart := e.met.now()
+	publishStart := time.Now()
 	backoff := snapshotBackoff
 	for attempt := 1; ; attempt++ {
 		info, err = publish()
@@ -160,9 +160,7 @@ func (e *Engine) SnapshotTo() (store.SnapshotInfo, error) {
 	// The publish duration (retries and their backoff included — that is
 	// what the operator waits for) and the snapshot size land in the
 	// registry alongside the request stages.
-	if e.met.timing {
-		e.met.tracer.StageHistogram(obs.StageSnapshotPublish).Observe(time.Since(publishStart))
-	}
+	e.met.tracer.StageHistogram(obs.StageSnapshotPublish).Observe(time.Since(publishStart))
 	e.met.snapshotBytes.Set(info.Bytes)
 	e.lastSnapshot.Store(time.Now().UnixNano())
 	return info, nil

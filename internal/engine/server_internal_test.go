@@ -32,7 +32,7 @@ func TestOutcomeClass(t *testing.T) {
 // a handler is recovered into a logged 500 carrying the request id, the
 // panics counter ticks, and the access line still reports the request.
 func TestRequestMiddlewarePanic(t *testing.T) {
-	e := &Engine{met: newEngineMetrics(false)}
+	e := &Engine{met: newEngineMetrics()}
 	var lines []string
 	logf := func(format string, args ...any) {
 		lines = append(lines, fmt.Sprintf(format, args...))

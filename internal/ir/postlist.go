@@ -250,8 +250,8 @@ func (ix *Index) postingsBytesLocked() (bytes, count int) {
 
 // PostingsBytes reports the bytes held by posting storage and the total
 // posting count across the passage and document stores — the compression
-// ratio metric BENCH_PERF.json tracks (fixed-width storage would hold
-// exactly 8 bytes per posting).
+// ratio bench/ reports as ir.bytes_per_posting (fixed-width storage would
+// hold exactly 8 bytes per posting).
 func (ix *Index) PostingsBytes() (bytes, count int) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

@@ -363,37 +363,24 @@ type Timings struct {
 }
 
 // Answer translates and executes in one step — the serving engine's
-// analytic path. It takes no clock readings.
+// analytic path.
 func (t *Translator) Answer(question string) (*Answer, error) {
-	a, _, err := t.answerTimed(question, false)
+	a, _, err := t.AnswerTimed(question)
 	return a, err
 }
 
 // AnswerTimed is Answer with compile/execute timing returned by value.
 func (t *Translator) AnswerTimed(question string) (*Answer, Timings, error) {
-	return t.answerTimed(question, true)
-}
-
-func (t *Translator) answerTimed(question string, timed bool) (*Answer, Timings, error) {
 	var tm Timings
-	var at time.Time
-	if timed {
-		at = time.Now()
-	}
+	at := time.Now()
 	tr, err := t.Translate(question)
-	if timed {
-		tm.Compile = time.Since(at)
-	}
+	tm.Compile = time.Since(at)
 	if err != nil {
 		return nil, tm, err
 	}
-	if timed {
-		at = time.Now()
-	}
+	at = time.Now()
 	res, err := t.wh.Execute(tr.Query)
-	if timed {
-		tm.Execute = time.Since(at)
-	}
+	tm.Execute = time.Since(at)
 	if err != nil {
 		return nil, tm, fmt.Errorf("nl2olap: executing plan: %w", err)
 	}

@@ -196,3 +196,28 @@ func TestProcessGauges(t *testing.T) {
 		t.Fatal("process gauges missing from exposition")
 	}
 }
+
+// TestRecordPathAllocatesNothing pins the rule the serving hot path
+// relies on: recording into pre-registered instruments and folding a
+// stack span into the stage histograms (slow-query log armed but not
+// reached) allocates nothing.
+func TestRecordPathAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("dwqa_test_total", "Test counter.")
+	g := r.Gauge("dwqa_test_gauge", "Test gauge.")
+	h := r.Histogram("dwqa_test_seconds", "Test histogram.", DefBuckets)
+	tr := NewTracer(r)
+	tr.SetSlowQuery(time.Hour, func(string, ...any) {})
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		g.Set(3)
+		h.Observe(time.Millisecond)
+		var sp Span
+		sp.Observe(StageIRSearch, time.Millisecond)
+		sp.Observe(StageQAExtract, time.Microsecond)
+		tr.Finish(&sp, 2*time.Millisecond, "question", "ok")
+	})
+	if allocs != 0 {
+		t.Fatalf("record path allocated %.1f times per request, want 0", allocs)
+	}
+}

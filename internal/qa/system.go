@@ -172,18 +172,16 @@ type Result struct {
 }
 
 // Timings reports the wall-clock time one question spent in each
-// module, returned by value from the Timed entry points. The plain
-// Answer/Harvest calls take no clock readings at all.
+// module, returned by value from the Timed entry points.
 type Timings struct {
 	Analyse time.Duration // Module 1: question analysis
 	Search  time.Duration // Module 2: IR-n passage retrieval
 	Extract time.Duration // Module 3: answer extraction
 }
 
-// clock reads the wall clock only when timings are wanted.
 // Answer runs the three search modules on a question.
 func (s *System) Answer(question string) (*Result, error) {
-	r, _, err := s.answerTimed(question, false)
+	r, _, err := s.AnswerTimed(question)
 	return r, err
 }
 
@@ -192,40 +190,33 @@ func (s *System) Answer(question string) (*Result, error) {
 // breakdown without a per-question heap allocation (a *Timings passed
 // through the engine's indirect answer-function call would escape).
 func (s *System) AnswerTimed(question string) (*Result, Timings, error) {
-	return s.answerTimed(question, true)
-}
-
-func (s *System) answerTimed(question string, timed bool) (*Result, Timings, error) {
-	var tm Timings
-	var t time.Time
-	if timed {
-		t = time.Now()
-	}
-	a, err := s.analyze(question)
-	if timed {
-		tm.Analyse = time.Since(t)
-	}
+	res, tm, err := s.runModules(question)
 	if err != nil {
 		return nil, tm, err
 	}
-	if timed {
-		t = time.Now()
-	}
-	passages := s.selectPassages(a)
-	if timed {
-		tm.Search = time.Since(t)
-		t = time.Now()
-	}
-	cands := s.extract(a, passages)
-	if timed {
-		tm.Extract = time.Since(t)
-	}
-	res := &Result{Analysis: a, Passages: passages, Candidates: cands}
-	if len(cands) > 0 && cands[0].Score >= s.cfg.MinScore {
+	if cands := res.Candidates; len(cands) > 0 && cands[0].Score >= s.cfg.MinScore {
 		best := cands[0]
 		res.Best = &best
 	}
 	return res, tm, nil
+}
+
+// runModules runs Modules 1-3 on a question, timing each.
+func (s *System) runModules(question string) (*Result, Timings, error) {
+	var tm Timings
+	t := time.Now()
+	a, err := s.analyze(question)
+	tm.Analyse = time.Since(t)
+	if err != nil {
+		return nil, tm, err
+	}
+	t = time.Now()
+	passages := s.selectPassages(a)
+	tm.Search = time.Since(t)
+	t = time.Now()
+	cands := s.extract(a, passages)
+	tm.Extract = time.Since(t)
+	return &Result{Analysis: a, Passages: passages, Candidates: cands}, tm, nil
 }
 
 // selectPassages is Module 2: IR-n retrieval over the main SB terms, or
@@ -242,42 +233,18 @@ func (s *System) selectPassages(a *Analysis) []ir.Passage {
 // (temperature – date – city – web page) from a month-level query. One
 // record per (date, location) is kept: the best-scoring one.
 func (s *System) Harvest(question string) ([]Answer, *Result, error) {
-	answers, r, _, err := s.harvestTimed(question, false)
+	answers, r, _, err := s.HarvestTimed(question)
 	return answers, r, err
 }
 
 // HarvestTimed is Harvest with per-module timing returned by value
 // (see AnswerTimed).
 func (s *System) HarvestTimed(question string) ([]Answer, *Result, Timings, error) {
-	return s.harvestTimed(question, true)
-}
-
-func (s *System) harvestTimed(question string, timed bool) ([]Answer, *Result, Timings, error) {
-	var tm Timings
-	var t time.Time
-	if timed {
-		t = time.Now()
-	}
-	a, err := s.analyze(question)
-	if timed {
-		tm.Analyse = time.Since(t)
-	}
+	res, tm, err := s.runModules(question)
 	if err != nil {
 		return nil, nil, tm, err
 	}
-	if timed {
-		t = time.Now()
-	}
-	passages := s.selectPassages(a)
-	if timed {
-		tm.Search = time.Since(t)
-		t = time.Now()
-	}
-	cands := s.extract(a, passages)
-	if timed {
-		tm.Extract = time.Since(t)
-	}
-	res := &Result{Analysis: a, Passages: passages, Candidates: cands}
+	a, cands := res.Analysis, res.Candidates
 
 	type key struct {
 		d   sbparser.DateRef
