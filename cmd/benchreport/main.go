@@ -1,13 +1,13 @@
 // Command benchreport regenerates every experiment table of the
-// reproduction (the data behind EXPERIMENTS.md). Each experiment maps to a
-// table or figure of the paper, or to one of its quantified qualitative
-// claims — see the per-experiment index in DESIGN.md.
+// reproduction. Each experiment maps to a table or figure of the paper,
+// or to one of its quantified qualitative claims — DESIGN.md §5
+// ("Experiment index") lists them.
 //
 // Usage:
 //
 //	benchreport              # run everything, plain text
 //	benchreport -exp F5      # one experiment
-//	benchreport -markdown    # markdown tables (EXPERIMENTS.md format)
+//	benchreport -markdown    # markdown tables
 //	benchreport -json        # machine-readable JSON tables
 //
 // Serving performance is measured by bench/ (bash bench/run.sh), not here.

@@ -46,36 +46,37 @@ func testWarehouse(t *testing.T) *dw.Warehouse {
 		},
 	}
 	schema := mdm.NewSchema("t").AddDimension(airport).AddDimension(city).
-		AddDimension(date).AddFact(sales).AddFact(weather)
+		AddDimension(date).AddFactClass(sales).AddFactClass(weather)
 	wh, err := dw.New(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustAdd := func(dim, level, name, parent string) {
-		t.Helper()
-		if _, err := wh.AddMember(dim, level, name, nil, parent); err != nil {
-			t.Fatal(err)
-		}
+	specs := []dw.MemberSpec{
+		{Dim: "Airport", Level: "City", Name: "Barcelona"},
+		{Dim: "Airport", Level: "Airport", Name: "El Prat", Parent: "Barcelona"},
+		{Dim: "City", Level: "City", Name: "Barcelona"},
 	}
-	mustAdd("Airport", "City", "Barcelona", "")
-	mustAdd("Airport", "Airport", "El Prat", "Barcelona")
-	mustAdd("City", "City", "Barcelona", "")
+	var weatherRows, salesRows []dw.FactRow
 	temps := []float64{2, 5, 8, 11, 14, 17, 20}
 	for i, temp := range temps {
 		day := dayKey(i)
-		mustAdd("Date", "Day", day, "")
-		if err := wh.AddFact("Weather",
-			map[string]string{"City": "Barcelona", "Date": day},
-			map[string]float64{"TempC": temp}); err != nil {
-			t.Fatal(err)
-		}
+		specs = append(specs, dw.MemberSpec{Dim: "Date", Level: "Day", Name: day})
+		weatherRows = append(weatherRows, dw.FactRow{
+			Coords:   map[string]string{"City": "Barcelona", "Date": day},
+			Measures: map[string]float64{"TempC": temp},
+		})
 		for k := 0; k < int(temp); k++ {
-			if err := wh.AddFact("LastMinuteSales",
-				map[string]string{"Destination": "El Prat", "Date": day},
-				map[string]float64{"Price": 100 + temp}); err != nil {
-				t.Fatal(err)
-			}
+			salesRows = append(salesRows, dw.FactRow{
+				Coords:   map[string]string{"Destination": "El Prat", "Date": day},
+				Measures: map[string]float64{"Price": 100 + temp},
+			})
 		}
+	}
+	if err := wh.AddBatch(specs, "Weather", weatherRows); err != nil {
+		t.Fatal(err)
+	}
+	if err := wh.AddBatch(nil, "LastMinuteSales", salesRows); err != nil {
+		t.Fatal(err)
 	}
 	return wh
 }
@@ -108,12 +109,10 @@ func TestJoin(t *testing.T) {
 func TestJoinSkipsUnmatched(t *testing.T) {
 	wh := testWarehouse(t)
 	// Sales on a day without weather must not join.
-	if _, err := wh.AddMember("Date", "Day", "2004-02-01", nil, ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := wh.AddFact("LastMinuteSales",
-		map[string]string{"Destination": "El Prat", "Date": "2004-02-01"},
-		map[string]float64{"Price": 100}); err != nil {
+	if err := wh.AddBatch([]dw.MemberSpec{{Dim: "Date", Level: "Day", Name: "2004-02-01"}}, "LastMinuteSales", []dw.FactRow{{
+		Coords:   map[string]string{"Destination": "El Prat", "Date": "2004-02-01"},
+		Measures: map[string]float64{"Price": 100},
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	points, err := Join(wh, dspec())

@@ -82,7 +82,7 @@ func BuildScaledCorpus(targetPassages int, seed int64) (*ScaledCorpus, error) {
 		for _, city := range scaledCityPool {
 			for month := 1; month <= 12; month++ {
 				page := webcorpus.ProsePage(webcorpus.WeatherSeries(city, year, month, seed))
-				err := ix.Add(ir.Document{URL: page.URL, Text: webcorpus.ExtractText(page.HTML)})
+				err := ix.AddBatch([]ir.Document{{URL: page.URL, Text: webcorpus.ExtractText(page.HTML)}})
 				if err != nil {
 					return nil, fmt.Errorf("core: scaled corpus page %q: %w", page.URL, err)
 				}

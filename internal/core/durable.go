@@ -94,9 +94,8 @@ func openWithStore(cfg Config, st *store.Store) (*Pipeline, *store.RecoveryInfo,
 	// the sequence gate; on a fresh boot afterSeq is 0 and everything in
 	// the log re-applies to the deterministic baseline).
 	replayed, err := st.Replay(info.SnapshotSeq, store.ReplayHandlers{
-		Members:  p.Warehouse.AddMembers,
-		FactRows: func(fact string, rows []dw.FactRow) error { return p.Warehouse.AddFactRows(fact, rows) },
-		Document: p.Index.Add,
+		Batch:     p.Warehouse.AddBatch,
+		Documents: p.Index.AddBatch,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: WAL replay: %w", err)

@@ -131,7 +131,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		opts = append(opts, ir.WithPassageSize(cfg.PassageSize))
 	}
 	index := ir.NewIndex(opts...)
-	if err := index.AddAll(corpus.Documents(cfg.TableAware)); err != nil {
+	if err := index.AddBatch(corpus.Documents(cfg.TableAware)); err != nil {
 		return nil, fmt.Errorf("core: indexing corpus: %w", err)
 	}
 	return &Pipeline{

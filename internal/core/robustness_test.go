@@ -81,7 +81,7 @@ func TestMalformedPagesSurviveIndexing(t *testing.T) {
 	})
 	docs := corpus.Documents(false)
 	index := ir.NewIndex()
-	if err := index.AddAll(docs); err != nil {
+	if err := index.AddBatch(docs); err != nil {
 		t.Fatalf("malformed page broke indexing: %v", err)
 	}
 	if index.DocCount() != len(corpus.Pages) {

@@ -112,7 +112,7 @@ func Figure1Schema() *mdm.Schema {
 	}
 	return mdm.NewSchema("LastMinuteSales").
 		AddDimension(airport).AddDimension(city).AddDimension(date).AddDimension(customer).
-		AddFact(sales).AddFact(weather)
+		AddFactClass(sales).AddFactClass(weather)
 }
 
 // routeMiles approximates flight distances between scenario cities.
@@ -154,12 +154,11 @@ func PopulateScenario(wh ScenarioTarget, year int, months []int, seed int64) err
 
 // ScenarioTarget is the write surface the scenario population drives —
 // a single *dw.Warehouse or a shard.Cluster, which replicates members
-// to every shard and routes fact rows by city hash. Both apply the same
-// calls in the same order, so member keys (and therefore exported
+// to every shard and routes fact rows by city hash. Both receive the
+// same batches in the same order, so member keys (and therefore exported
 // dimension state) are identical across topologies.
 type ScenarioTarget interface {
-	AddMember(dim, level, name string, attrs map[string]string, parentName string) (int, error)
-	AddFact(fact string, coords map[string]string, measures map[string]float64) error
+	AddBatch(specs []dw.MemberSpec, fact string, rows []dw.FactRow) error
 }
 
 // PopulateScenarioScaled is PopulateScenario with a demand multiplier: the
@@ -168,9 +167,19 @@ type ScenarioTarget interface {
 // weather→sales relationship intact. scale 1 reproduces PopulateScenario
 // bit for bit; large scales emit 100k+ fact rows for the scaling
 // benchmarks.
+//
+// The history is committed as one AddBatch per day: the day's Date
+// member and its sales rows, with the static dimensions riding in the
+// first day's batch and each month's Year and Month members in the
+// month's first. Batching by day keeps the pending rows small at any
+// scale.
 func PopulateScenarioScaled(wh ScenarioTarget, year int, months []int, seed int64, scale int) error {
 	if scale < 1 {
 		scale = 1
+	}
+	var specs []dw.MemberSpec
+	member := func(dim, level, name, parent string, attrs map[string]string) {
+		specs = append(specs, dw.MemberSpec{Dim: dim, Level: level, Name: name, Parent: parent, Attrs: attrs})
 	}
 	// Dimension members. Insertion order must be deterministic — member
 	// ids follow it, and the durable snapshots encode those ids, so two
@@ -186,32 +195,18 @@ func PopulateScenarioScaled(wh ScenarioTarget, year int, months []int, seed int6
 		countryNames[country] = true
 	}
 	for _, c := range sortedKeys(countryNames) {
-		if _, err := wh.AddMember("Airport", "Country", c, nil, ""); err != nil {
-			return err
-		}
-		if _, err := wh.AddMember("City", "Country", c, nil, ""); err != nil {
-			return err
-		}
+		member("Airport", "Country", c, "", nil)
+		member("City", "Country", c, "", nil)
 	}
 	for _, city := range sortedKeys(cities) {
-		country := cities[city]
-		if _, err := wh.AddMember("Airport", "City", city, nil, country); err != nil {
-			return err
-		}
-		if _, err := wh.AddMember("City", "City", city, nil, country); err != nil {
-			return err
-		}
+		member("Airport", "City", city, cities[city], nil)
+		member("City", "City", city, cities[city], nil)
 	}
 	for _, a := range ScenarioAirports {
-		attrs := map[string]string{"IATA": a.IATA, "Alias": a.Alias}
-		if _, err := wh.AddMember("Airport", "Airport", a.Name, attrs, a.City); err != nil {
-			return err
-		}
+		member("Airport", "Airport", a.Name, a.City, map[string]string{"IATA": a.IATA, "Alias": a.Alias})
 	}
 	for _, seg := range []string{"Business", "Leisure"} {
-		if _, err := wh.AddMember("Customer", "Segment", seg, nil, ""); err != nil {
-			return err
-		}
+		member("Customer", "Segment", seg, "", nil)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	customers := make([]string, 24)
@@ -222,10 +217,7 @@ func PopulateScenarioScaled(wh ScenarioTarget, year int, months []int, seed int6
 			seg = "Business"
 		}
 		rate := 1 + rng.Float64()*4
-		attrs := map[string]string{"Rate": fmt.Sprintf("%.2f", rate)}
-		if _, err := wh.AddMember("Customer", "Customer", customers[i], attrs, seg); err != nil {
-			return err
-		}
+		member("Customer", "Customer", customers[i], seg, map[string]string{"Rate": fmt.Sprintf("%.2f", rate)})
 	}
 
 	// Date members and fact rows.
@@ -236,18 +228,13 @@ func PopulateScenarioScaled(wh ScenarioTarget, year int, months []int, seed int6
 		}
 		monthKey := fmt.Sprintf("%04d-%02d", year, month)
 		yearKey := fmt.Sprintf("%04d", year)
-		if _, err := wh.AddMember("Date", "Year", yearKey, nil, ""); err != nil {
-			return err
-		}
-		if _, err := wh.AddMember("Date", "Month", monthKey, nil, yearKey); err != nil {
-			return err
-		}
+		member("Date", "Year", yearKey, "", nil)
+		member("Date", "Month", monthKey, yearKey, nil)
 		nDays := len(series[ScenarioAirports[0].City])
 		for day := 1; day <= nDays; day++ {
 			dayKey := fmt.Sprintf("%s-%02d", monthKey, day)
-			if _, err := wh.AddMember("Date", "Day", dayKey, nil, monthKey); err != nil {
-				return err
-			}
+			member("Date", "Day", dayKey, monthKey, nil)
+			var rows []dw.FactRow
 			for _, dst := range ScenarioAirports {
 				temp := float64(series[dst.City][day-1].HighC)
 				// Demand model: warmer destinations attract more
@@ -264,22 +251,25 @@ func PopulateScenarioScaled(wh ScenarioTarget, year int, months []int, seed int6
 					}
 					miles := milesBetween(dep.City, dst.City)
 					price := 60 + rng.Float64()*240 + miles*0.05
-					err := wh.AddFact("LastMinuteSales",
-						map[string]string{
+					rows = append(rows, dw.FactRow{
+						Coords: map[string]string{
 							"Departure":   dep.Name,
 							"Destination": dst.Name,
 							"Date":        dayKey,
 							"Customer":    customers[rng.Intn(len(customers))],
 						},
-						map[string]float64{"Price": math.Round(price*100) / 100, "Miles": miles})
-					if err != nil {
-						return err
-					}
+						Measures: map[string]float64{"Price": math.Round(price*100) / 100, "Miles": miles},
+					})
 				}
 			}
+			if err := wh.AddBatch(specs, "LastMinuteSales", rows); err != nil {
+				return err
+			}
+			specs = nil
 		}
 	}
-	return nil
+	// Without months the static dimensions are still pending.
+	return wh.AddBatch(specs, "LastMinuteSales", nil)
 }
 
 // ScaledOLAPQuery is the canonical workload of the OLAP scaling

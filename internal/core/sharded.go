@@ -112,9 +112,9 @@ func NewShardedPipeline(cfg Config, shards int) (*ShardedPipeline, error) {
 
 // indexCorpusSharded feeds the corpus into the cluster in publication
 // order — ordinals follow it, which is what keeps federated ranking
-// identical to a single index built by AddAll. Weather pages route by
-// their subject city (co-located with the city's facts); distractor
-// pages, which have no subject, route by URL.
+// identical to a single index built by one AddBatch. Weather pages
+// route by their subject city (co-located with the city's facts);
+// distractor pages, which have no subject, route by URL.
 func indexCorpusSharded(cl *shard.Cluster, corpus *webcorpus.Corpus, tableAware bool) error {
 	docs := corpus.Documents(tableAware)
 	for i, doc := range docs {
@@ -392,19 +392,7 @@ func OpenShardedPipelineFS(cfg Config, dataDir string, shards int, fsys store.FS
 		if states[i] != nil {
 			after = states[i].WALSeq
 		}
-		node := sp.Cluster.Node(i)
-		shardIdx := i
-		replayed, rerr := st.Replay(after, store.ReplayHandlers{
-			Members:  node.WH.AddMembers,
-			FactRows: node.WH.AddFactRows,
-			Document: func(doc ir.Document) error {
-				if aerr := node.IX.Add(doc); aerr != nil {
-					return aerr
-				}
-				sp.Cluster.NoteDocument(doc.Ord, shardIdx, node.IX.DocCount()-1)
-				return nil
-			},
-		})
+		replayed, rerr := st.Replay(after, sp.Cluster.ReplayHandlers(i))
 		if rerr != nil {
 			closeAll()
 			return nil, nil, fmt.Errorf("core: shard %d WAL replay: %w", i, rerr)

@@ -38,17 +38,15 @@ func testSchema() *mdm.Schema {
 			{Role: "Date", Dimension: "Date"},
 		},
 	}
-	return mdm.NewSchema("test").AddDimension(airport).AddDimension(date).AddFact(fact)
+	return mdm.NewSchema("test").AddDimension(airport).AddDimension(date).AddFactClass(fact)
 }
 
 // populate fills the warehouse with a small deterministic dataset.
 func populate(t testing.TB, w *Warehouse) {
 	t.Helper()
+	var specs []MemberSpec
 	add := func(dim, level, name, parent string) {
-		t.Helper()
-		if _, err := w.AddMember(dim, level, name, nil, parent); err != nil {
-			t.Fatalf("AddMember(%s,%s,%s): %v", dim, level, name, err)
-		}
+		specs = append(specs, MemberSpec{Dim: dim, Level: level, Name: name, Parent: parent})
 	}
 	add("Airport", "Country", "Spain", "")
 	add("Airport", "Country", "USA", "")
@@ -78,14 +76,21 @@ func populate(t testing.TB, w *Warehouse) {
 		{"El Prat", "La Guardia", "2004-02-01", 410, 3750},
 		{"Barajas", "JFK", "2004-01-30", 450, 3600},
 	}
+	var facts []FactRow
 	for _, r := range rows {
-		err := w.AddFact("LastMinuteSales",
-			map[string]string{"Departure": r.dep, "Destination": r.dst, "Date": r.day},
-			map[string]float64{"Price": r.price, "Miles": r.miles})
-		if err != nil {
-			t.Fatalf("AddFact: %v", err)
-		}
+		facts = append(facts, FactRow{
+			Coords:   map[string]string{"Departure": r.dep, "Destination": r.dst, "Date": r.day},
+			Measures: map[string]float64{"Price": r.price, "Miles": r.miles},
+		})
 	}
+	if err := w.AddBatch(specs, "LastMinuteSales", facts); err != nil {
+		t.Fatalf("AddBatch: %v", err)
+	}
+}
+
+// addRow commits one fact row as its own AddBatch.
+func addRow(w *Warehouse, fact string, coords map[string]string, measures map[string]float64, provenance string) error {
+	return w.AddBatch(nil, fact, []FactRow{{Coords: coords, Measures: measures, Provenance: provenance}})
 }
 
 func newPopulated(t *testing.T) *Warehouse {
@@ -99,41 +104,43 @@ func newPopulated(t *testing.T) *Warehouse {
 }
 
 func TestNewRejectsInvalidSchema(t *testing.T) {
-	s := mdm.NewSchema("bad").AddFact(&mdm.FactClass{Name: "F"})
+	s := mdm.NewSchema("bad").AddFactClass(&mdm.FactClass{Name: "F"})
 	if _, err := New(s); err == nil {
 		t.Error("invalid schema accepted")
 	}
 }
 
+// TestAddMemberErrors covers AddBatch's member-spec validation: each bad
+// spec rejects its batch and leaves the dimension untouched.
 func TestAddMemberErrors(t *testing.T) {
 	w, _ := New(testSchema())
-	if _, err := w.AddMember("Ghost", "X", "a", nil, ""); err == nil {
-		t.Error("unknown dimension accepted")
+	for what, spec := range map[string]MemberSpec{
+		"unknown dimension":   {Dim: "Ghost", Level: "X", Name: "a"},
+		"unknown level":       {Dim: "Airport", Level: "Ghost", Name: "a"},
+		"empty member name":   {Dim: "Airport", Level: "Airport", Name: ""},
+		"missing parent":      {Dim: "Airport", Level: "Airport", Name: "El Prat", Parent: "Barcelona"},
+		"parent on top level": {Dim: "Airport", Level: "Country", Name: "Spain", Parent: "Europe"},
+	} {
+		if err := w.AddBatch([]MemberSpec{spec}, "", nil); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
-	if _, err := w.AddMember("Airport", "Ghost", "a", nil, ""); err == nil {
-		t.Error("unknown level accepted")
-	}
-	if _, err := w.AddMember("Airport", "Airport", "", nil, ""); err == nil {
-		t.Error("empty member name accepted")
-	}
-	if _, err := w.AddMember("Airport", "Airport", "El Prat", nil, "Barcelona"); err == nil {
-		t.Error("missing parent accepted")
-	}
-	if _, err := w.AddMember("Airport", "Country", "Spain", nil, "Europe"); err == nil {
-		t.Error("parent on top level accepted")
+	if n := w.MemberCount("Airport", "Country") + w.MemberCount("Airport", "Airport"); n != 0 {
+		t.Errorf("rejected specs left %d members", n)
 	}
 }
 
 func TestAddMemberIdempotentAndUpdating(t *testing.T) {
 	w, _ := New(testSchema())
-	if _, err := w.AddMember("Airport", "Country", "Spain", nil, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.AddMember("Airport", "City", "Barcelona", map[string]string{"pop": "1.6M"}, "Spain"); err != nil {
+	if err := w.AddBatch([]MemberSpec{
+		{Dim: "Airport", Level: "Country", Name: "Spain"},
+		{Dim: "Airport", Level: "City", Name: "Barcelona", Parent: "Spain", Attrs: map[string]string{"pop": "1.6M"}},
+	}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	k1, _ := w.MemberKey("Airport", "City", "Barcelona")
-	k2, err := w.AddMember("Airport", "City", "Barcelona", map[string]string{"area": "101km2"}, "")
+	err := w.AddBatch([]MemberSpec{{Dim: "Airport", Level: "City", Name: "Barcelona", Attrs: map[string]string{"area": "101km2"}}}, "", nil)
+	k2, _ := w.MemberKey("Airport", "City", "Barcelona")
 	if err != nil || k1 != k2 {
 		t.Fatalf("re-add changed key: %d → %d (%v)", k1, k2, err)
 	}
@@ -146,21 +153,25 @@ func TestAddMemberIdempotentAndUpdating(t *testing.T) {
 	}
 }
 
+// TestAddFactErrors covers AddBatch's row validation.
 func TestAddFactErrors(t *testing.T) {
 	w := newPopulated(t)
 	base := map[string]string{"Departure": "El Prat", "Destination": "JFK", "Date": "2004-01-30"}
-	if err := w.AddFact("Ghost", base, nil); err == nil {
+	if err := addRow(w, "Ghost", base, nil, ""); err == nil {
 		t.Error("unknown fact accepted")
 	}
-	if err := w.AddFact("LastMinuteSales", map[string]string{"Departure": "El Prat"}, nil); err == nil {
+	if err := addRow(w, "LastMinuteSales", map[string]string{"Departure": "El Prat"}, nil, ""); err == nil {
 		t.Error("missing role accepted")
 	}
 	bad := map[string]string{"Departure": "El Prat", "Destination": "Narnia", "Date": "2004-01-30"}
-	if err := w.AddFact("LastMinuteSales", bad, nil); err == nil {
+	if err := addRow(w, "LastMinuteSales", bad, nil, ""); err == nil {
 		t.Error("unknown member accepted")
 	}
-	if err := w.AddFact("LastMinuteSales", base, map[string]float64{"Ghost": 1}); err == nil {
+	if err := addRow(w, "LastMinuteSales", base, map[string]float64{"Ghost": 1}, ""); err == nil {
 		t.Error("unknown measure accepted")
+	}
+	if n := w.FactCount("LastMinuteSales"); n != 6 {
+		t.Errorf("rejected rows changed FactCount to %d, want 6", n)
 	}
 }
 
@@ -296,15 +307,16 @@ func TestRollUpSumInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	days := []string{"2004-01-30", "2004-01-31", "2004-02-01"}
 	airports := []string{"El Prat", "Barajas", "JFK", "La Guardia"}
+	var rows []FactRow
 	for i := 0; i < 300; i++ {
-		err := w.AddFact("LastMinuteSales", map[string]string{
+		rows = append(rows, FactRow{Coords: map[string]string{
 			"Departure":   airports[rng.Intn(len(airports))],
 			"Destination": airports[rng.Intn(len(airports))],
 			"Date":        days[rng.Intn(len(days))],
-		}, map[string]float64{"Price": float64(rng.Intn(500) + 50)})
-		if err != nil {
-			t.Fatalf("AddFact: %v", err)
-		}
+		}, Measures: map[string]float64{"Price": float64(rng.Intn(500) + 50)}})
+	}
+	if err := w.AddBatch(nil, "LastMinuteSales", rows); err != nil {
+		t.Fatalf("AddBatch: %v", err)
 	}
 	var totals []float64
 	for _, level := range []string{"Airport", "City", "Country"} {
@@ -328,12 +340,12 @@ func TestRollUpSumInvariant(t *testing.T) {
 
 func TestProvenance(t *testing.T) {
 	w := newPopulated(t)
-	err := w.AddFactProvenance("LastMinuteSales",
+	err := addRow(w, "LastMinuteSales",
 		map[string]string{"Departure": "El Prat", "Destination": "JFK", "Date": "2004-01-30"},
 		map[string]float64{"Price": 99},
 		"http://example.com/page")
 	if err != nil {
-		t.Fatalf("AddFactProvenance: %v", err)
+		t.Fatalf("AddBatch: %v", err)
 	}
 	if w.FactCount("LastMinuteSales") != 7 {
 		t.Errorf("FactCount = %d, want 7", w.FactCount("LastMinuteSales"))
@@ -380,11 +392,11 @@ func TestConcurrentLoadAndQuery(t *testing.T) {
 		done <- nil
 	}()
 	for i := 0; i < 100; i++ {
-		err := w.AddFact("LastMinuteSales",
+		err := addRow(w, "LastMinuteSales",
 			map[string]string{"Departure": "El Prat", "Destination": "JFK", "Date": "2004-01-31"},
-			map[string]float64{"Price": 100})
+			map[string]float64{"Price": 100}, "")
 		if err != nil {
-			t.Fatalf("AddFact: %v", err)
+			t.Fatalf("AddBatch: %v", err)
 		}
 	}
 	if err := <-done; err != nil {
@@ -398,12 +410,16 @@ func BenchmarkExecuteGroupBy(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	days := []string{"2004-01-30", "2004-01-31", "2004-02-01"}
 	airports := []string{"El Prat", "Barajas", "JFK", "La Guardia"}
+	var rows []FactRow
 	for i := 0; i < 10000; i++ {
-		_ = w.AddFact("LastMinuteSales", map[string]string{
+		rows = append(rows, FactRow{Coords: map[string]string{
 			"Departure":   airports[rng.Intn(len(airports))],
 			"Destination": airports[rng.Intn(len(airports))],
 			"Date":        days[rng.Intn(len(days))],
-		}, map[string]float64{"Price": float64(rng.Intn(500))})
+		}, Measures: map[string]float64{"Price": float64(rng.Intn(500))}})
+	}
+	if err := w.AddBatch(nil, "LastMinuteSales", rows); err != nil {
+		b.Fatal(err)
 	}
 	q := Query{Fact: "LastMinuteSales", Measure: "Price", Agg: Sum,
 		GroupBy: []LevelSel{{Role: "Destination", Level: "Country"}}}
@@ -441,9 +457,9 @@ func TestValidateWithoutExecute(t *testing.T) {
 	}
 }
 
-// TestBatchAPIs covers the single-lock batch loaders the Step 5 feed
-// uses: ordered member batches, atomic fact-row batches, and the
-// Schema/ParentName accessors the metadata layers read.
+// TestBatchAPIs covers AddBatch as the Step 5 feed uses it — members
+// that parent each other and rows that reference them in one atomic
+// commit — and the Schema/ParentName accessors the metadata layers read.
 func TestBatchAPIs(t *testing.T) {
 	w, err := New(testSchema())
 	if err != nil {
@@ -452,14 +468,24 @@ func TestBatchAPIs(t *testing.T) {
 	if w.Schema() == nil {
 		t.Fatal("Schema() returned nil")
 	}
-	if err := w.AddMembers([]MemberSpec{
+	specs := []MemberSpec{
 		{Dim: "Airport", Level: "Country", Name: "Spain"},
 		{Dim: "Airport", Level: "City", Name: "Barcelona", Parent: "Spain"},
 		{Dim: "Airport", Level: "Airport", Name: "El Prat", Parent: "Barcelona"},
 		{Dim: "Date", Level: "Month", Name: "2004-01"},
 		{Dim: "Date", Level: "Day", Name: "2004-01-01", Parent: "2004-01"},
-	}); err != nil {
-		t.Fatalf("AddMembers: %v", err)
+	}
+	rows := []FactRow{
+		{Coords: map[string]string{"Departure": "El Prat", "Destination": "El Prat", "Date": "2004-01-01"},
+			Measures: map[string]float64{"Price": 100}},
+		{Coords: map[string]string{"Departure": "El Prat", "Destination": "El Prat", "Date": "2004-01-01"},
+			Measures: map[string]float64{"Price": 50}, Provenance: "test"},
+	}
+	if err := w.AddBatch(specs, "LastMinuteSales", rows); err != nil {
+		t.Fatalf("AddBatch: %v", err)
+	}
+	if n := w.FactCount("LastMinuteSales"); n != 2 {
+		t.Errorf("FactCount = %d, want 2", n)
 	}
 	if parent, err := w.ParentName("Airport", "Airport", "El Prat"); err != nil || parent != "Barcelona" {
 		t.Errorf("ParentName = %q, %v", parent, err)
@@ -467,39 +493,34 @@ func TestBatchAPIs(t *testing.T) {
 	if _, err := w.ParentName("Airport", "Airport", "Ghost"); err == nil {
 		t.Error("ParentName of a missing member should fail")
 	}
-	// A failing spec aborts the batch at that spec (AddMember semantics).
-	if err := w.AddMembers([]MemberSpec{
+
+	// The batch is atomic: a bad spec or a bad row loads nothing — not
+	// even the valid specs before it.
+	badSpecs := []MemberSpec{
 		{Dim: "Airport", Level: "City", Name: "Madrid", Parent: "Spain"},
 		{Dim: "Airport", Level: "City", Name: "Oops", Parent: "Atlantis"},
-	}); err == nil {
+	}
+	if err := w.AddBatch(badSpecs, "", nil); err == nil {
 		t.Error("bad parent in a member batch should fail")
 	}
-
-	rows := []FactRow{
-		{Coords: map[string]string{"Departure": "El Prat", "Destination": "El Prat", "Date": "2004-01-01"},
-			Measures: map[string]float64{"Price": 100}},
-		{Coords: map[string]string{"Departure": "El Prat", "Destination": "El Prat", "Date": "2004-01-01"},
-			Measures: map[string]float64{"Price": 50}, Provenance: "test"},
+	if _, err := w.MemberKey("Airport", "City", "Madrid"); err == nil {
+		t.Error("a failed batch committed its valid prefix")
 	}
-	if err := w.AddFactRows("LastMinuteSales", rows); err != nil {
-		t.Fatalf("AddFactRows: %v", err)
-	}
-	if n := w.FactCount("LastMinuteSales"); n != 2 {
-		t.Errorf("FactCount = %d, want 2", n)
-	}
-	// The batch is atomic: one bad row loads nothing.
 	bad := append([]FactRow(nil), rows...)
 	bad = append(bad, FactRow{Coords: map[string]string{"Departure": "Ghost", "Destination": "El Prat", "Date": "2004-01-01"}})
-	if err := w.AddFactRows("LastMinuteSales", bad); err == nil {
+	if err := w.AddBatch(badSpecs[:1], "LastMinuteSales", bad); err == nil {
 		t.Fatal("bad row in a fact batch should fail")
 	}
 	if n := w.FactCount("LastMinuteSales"); n != 2 {
 		t.Errorf("FactCount after failed batch = %d, want 2 (atomic)", n)
 	}
-	if err := w.AddFactRows("Ghost", rows); err == nil {
+	if _, err := w.MemberKey("Airport", "City", "Madrid"); err == nil {
+		t.Error("a batch with a bad row committed its members")
+	}
+	if err := w.AddBatch(nil, "Ghost", rows); err == nil {
 		t.Error("unknown fact in a batch should fail")
 	}
-	if err := w.AddFactRows("LastMinuteSales", nil); err != nil {
+	if err := w.AddBatch(nil, "LastMinuteSales", nil); err != nil {
 		t.Errorf("empty batch should be a no-op: %v", err)
 	}
 }

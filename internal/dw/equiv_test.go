@@ -21,24 +21,23 @@ func equivWarehouse(t testing.TB, rows int) *Warehouse {
 	}
 	populate(t, w)
 	// An airport with no parent city: rolls up to "(unknown)".
-	if _, err := w.AddMember("Airport", "Airport", "Area 51", nil, ""); err != nil {
-		t.Fatalf("AddMember: %v", err)
-	}
+	orphan := []MemberSpec{{Dim: "Airport", Level: "Airport", Name: "Area 51"}}
 	rng := rand.New(rand.NewSource(99))
 	days := []string{"2004-01-30", "2004-01-31", "2004-02-01"}
 	airports := []string{"El Prat", "Barajas", "JFK", "La Guardia", "Area 51"}
+	facts := make([]FactRow, 0, rows)
 	for i := 0; i < rows; i++ {
-		err := w.AddFact("LastMinuteSales", map[string]string{
+		facts = append(facts, FactRow{Coords: map[string]string{
 			"Departure":   airports[rng.Intn(len(airports))],
 			"Destination": airports[rng.Intn(len(airports))],
 			"Date":        days[rng.Intn(len(days))],
-		}, map[string]float64{
+		}, Measures: map[string]float64{
 			"Price": float64(rng.Intn(900) + 50),
 			"Miles": float64(rng.Intn(6000)),
-		})
-		if err != nil {
-			t.Fatalf("AddFact: %v", err)
-		}
+		}})
+	}
+	if err := w.AddBatch(orphan, "LastMinuteSales", facts); err != nil {
+		t.Fatalf("AddBatch: %v", err)
 	}
 	return w
 }
@@ -166,10 +165,10 @@ func TestRollupMemoInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-parent the orphan airport: "(unknown)" rows must move to Roswell.
-	if _, err := w.AddMember("Airport", "City", "Roswell", nil, "USA"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.AddMember("Airport", "Airport", "Area 51", nil, "Roswell"); err != nil {
+	if err := w.AddBatch([]MemberSpec{
+		{Dim: "Airport", Level: "City", Name: "Roswell", Parent: "USA"},
+		{Dim: "Airport", Level: "Airport", Name: "Area 51", Parent: "Roswell"},
+	}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := w.Execute(q)
@@ -203,15 +202,13 @@ func TestRollupMemoInvalidation(t *testing.T) {
 // match.
 func TestUnknownNameCollision(t *testing.T) {
 	w := equivWarehouse(t, 300) // contains orphan "Area 51" → sentinel rows
-	if _, err := w.AddMember("Airport", "City", "(unknown)", nil, "Spain"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.AddMember("Airport", "Airport", "Nowhere Field", nil, "(unknown)"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AddFact("LastMinuteSales",
-		map[string]string{"Departure": "El Prat", "Destination": "Nowhere Field", "Date": "2004-01-30"},
-		map[string]float64{"Price": 200}); err != nil {
+	if err := w.AddBatch([]MemberSpec{
+		{Dim: "Airport", Level: "City", Name: "(unknown)", Parent: "Spain"},
+		{Dim: "Airport", Level: "Airport", Name: "Nowhere Field", Parent: "(unknown)"},
+	}, "LastMinuteSales", []FactRow{{
+		Coords:   map[string]string{"Departure": "El Prat", "Destination": "Nowhere Field", "Date": "2004-01-30"},
+		Measures: map[string]float64{"Price": 200},
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, agg := range []Agg{Sum, Count, Avg, Min, Max} {
@@ -248,7 +245,7 @@ func TestGroupKeyOverflowFallsBack(t *testing.T) {
 		refs = append(refs, mdm.DimensionRef{Role: "R" + name, Dimension: name})
 	}
 	schema := mdm.NewSchema("wide").
-		AddFact(&mdm.FactClass{Name: "F", Measures: []mdm.Measure{{Name: "V", Type: mdm.TypeFloat}}, Dimensions: refs})
+		AddFactClass(&mdm.FactClass{Name: "F", Measures: []mdm.Measure{{Name: "V", Type: mdm.TypeFloat}}, Dimensions: refs})
 	for _, d := range dims {
 		schema.AddDimension(d)
 	}
@@ -257,16 +254,17 @@ func TestGroupKeyOverflowFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for d := 0; d < 4; d++ {
-		dim := fmt.Sprintf("D%d", d)
+		specs := make([]MemberSpec, 0, 1<<16)
 		for m := 0; m < 1<<16; m++ {
-			if _, err := w.AddMember(dim, "Base", fmt.Sprintf("m%05x", m), nil, ""); err != nil {
-				t.Fatal(err)
-			}
+			specs = append(specs, MemberSpec{Dim: fmt.Sprintf("D%d", d), Level: "Base", Name: fmt.Sprintf("m%05x", m)})
+		}
+		if err := w.AddBatch(specs, "", nil); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := w.AddFact("F", map[string]string{
+	if err := addRow(w, "F", map[string]string{
 		"RD0": "m00001", "RD1": "m00002", "RD2": "m00003", "RD3": "m00004",
-	}, map[string]float64{"V": 7}); err != nil {
+	}, map[string]float64{"V": 7}, ""); err != nil {
 		t.Fatal(err)
 	}
 	q := Query{Fact: "F", Measure: "V", Agg: Sum, GroupBy: []LevelSel{
@@ -325,8 +323,8 @@ func TestValidationRejectsCountOnGhostMeasure(t *testing.T) {
 }
 
 // TestConcurrentExecuteAddFactAddMember hammers queries against concurrent
-// fact and member writes (the latter invalidate the roll-up memo). Run
-// under -race this covers the engine's locking.
+// row-only and member-only AddBatch writes (the latter invalidate the
+// roll-up memo). Run under -race this covers the engine's locking.
 func TestConcurrentExecuteAddFactAddMember(t *testing.T) {
 	w := equivWarehouse(t, 2*planChunkSize)
 	q := Query{Fact: "LastMinuteSales", Measure: "Price", Agg: Sum,
@@ -349,9 +347,9 @@ func TestConcurrentExecuteAddFactAddMember(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			err := w.AddFact("LastMinuteSales",
+			err := addRow(w, "LastMinuteSales",
 				map[string]string{"Departure": "El Prat", "Destination": "JFK", "Date": "2004-01-31"},
-				map[string]float64{"Price": 100})
+				map[string]float64{"Price": 100}, "")
 			if err != nil {
 				errs <- err
 				return
@@ -362,7 +360,8 @@ func TestConcurrentExecuteAddFactAddMember(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if _, err := w.AddMember("Airport", "Airport", fmt.Sprintf("Strip-%d", i), nil, "Madrid"); err != nil {
+			strip := MemberSpec{Dim: "Airport", Level: "Airport", Name: fmt.Sprintf("Strip-%d", i), Parent: "Madrid"}
+			if err := w.AddBatch([]MemberSpec{strip}, "", nil); err != nil {
 				errs <- err
 				return
 			}
@@ -377,7 +376,7 @@ func TestConcurrentExecuteAddFactAddMember(t *testing.T) {
 
 func TestFactProvenanceAccessor(t *testing.T) {
 	w := newPopulated(t)
-	err := w.AddFactProvenance("LastMinuteSales",
+	err := addRow(w, "LastMinuteSales",
 		map[string]string{"Departure": "El Prat", "Destination": "JFK", "Date": "2004-01-30"},
 		map[string]float64{"Price": 99}, "http://example.com/source")
 	if err != nil {

@@ -32,7 +32,7 @@ func snapTestSchema() *mdm.Schema {
 			{Role: "Date", Dimension: "Date"},
 		},
 	}
-	return mdm.NewSchema("snap").AddDimension(city).AddDimension(date).AddFact(weather)
+	return mdm.NewSchema("snap").AddDimension(city).AddDimension(date).AddFactClass(weather)
 }
 
 // populateSnapTest loads a deterministic little warehouse.
@@ -46,15 +46,12 @@ func populateSnapTest(t *testing.T, w *Warehouse) {
 		{Dim: "Date", Level: "Day", Name: "2004-01-01", Parent: "2004-01"},
 		{Dim: "Date", Level: "Day", Name: "2004-01-02", Parent: "2004-01"},
 	}
-	if err := w.AddMembers(specs); err != nil {
-		t.Fatal(err)
-	}
 	rows := []FactRow{
 		{Coords: map[string]string{"City": "Barcelona", "Date": "2004-01-01"}, Measures: map[string]float64{"TempC": 10.5}, Provenance: "http://a"},
 		{Coords: map[string]string{"City": "Barcelona", "Date": "2004-01-02"}, Measures: map[string]float64{"TempC": 11}, Provenance: "http://a"},
 		{Coords: map[string]string{"City": "Madrid", "Date": "2004-01-01"}, Measures: map[string]float64{"TempC": 4}},
 	}
-	if err := w.AddFactRows("Weather", rows); err != nil {
+	if err := w.AddBatch(specs, "Weather", rows); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -179,8 +176,8 @@ func TestImportRejectsShapeMismatches(t *testing.T) {
 }
 
 // TestAddMembersIdempotent pins the warehouse-level idempotency WAL
-// replay relies on: re-applying a member batch with duplicate names
-// leaves counts and keys unchanged.
+// replay relies on: re-applying a member-only AddBatch with duplicate
+// names leaves counts and keys unchanged.
 func TestAddMembersIdempotent(t *testing.T) {
 	w, err := New(snapTestSchema())
 	if err != nil {
@@ -191,11 +188,11 @@ func TestAddMembersIdempotent(t *testing.T) {
 		{Dim: "City", Level: "City", Name: "Barcelona", Parent: "Spain"},
 		{Dim: "City", Level: "City", Name: "Barcelona", Parent: "Spain"}, // dup inside the batch
 	}
-	if err := w.AddMembers(specs); err != nil {
+	if err := w.AddBatch(specs, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	key1, _ := w.MemberKey("City", "City", "Barcelona")
-	if err := w.AddMembers(specs); err != nil { // whole batch re-applied
+	if err := w.AddBatch(specs, "", nil); err != nil { // whole batch re-applied
 		t.Fatal(err)
 	}
 	key2, _ := w.MemberKey("City", "City", "Barcelona")
@@ -241,26 +238,8 @@ func TestScanFact(t *testing.T) {
 
 // journalRecorder captures journal calls for the hook tests.
 type journalRecorder struct {
-	members  [][]MemberSpec
-	factRows []int
-	batches  [][2]int // (specs, rows) sizes of each LogBatch call
-	fail     bool
-}
-
-func (j *journalRecorder) LogMembers(specs []MemberSpec) error {
-	if j.fail {
-		return fmt.Errorf("journal down")
-	}
-	j.members = append(j.members, specs)
-	return nil
-}
-
-func (j *journalRecorder) LogFactRows(fact string, rows []FactRow) error {
-	if j.fail {
-		return fmt.Errorf("journal down")
-	}
-	j.factRows = append(j.factRows, len(rows))
-	return nil
+	batches [][2]int // (specs, rows) sizes of each LogBatch call
+	fail    bool
 }
 
 func (j *journalRecorder) LogBatch(specs []MemberSpec, fact string, rows []FactRow) error {
@@ -279,38 +258,35 @@ func TestJournalHooks(t *testing.T) {
 	rec := &journalRecorder{}
 	w.SetJournal(rec)
 	populateSnapTest(t, w)
-	if len(rec.members) != 1 || len(rec.members[0]) != 6 {
-		t.Fatalf("member batches logged: %v", rec.members)
-	}
-	if len(rec.factRows) != 1 || rec.factRows[0] != 3 {
-		t.Fatalf("fact batches logged: %v", rec.factRows)
+	if len(rec.batches) != 1 || rec.batches[0] != [2]int{6, 3} {
+		t.Fatalf("batches logged: %v", rec.batches)
 	}
 
-	// A failing batch logs nothing: the bad spec aborts before the
-	// journal call.
+	// A failing batch logs nothing: a bad spec or a bad row aborts
+	// before the journal call.
 	bad := []MemberSpec{
 		{Dim: "City", Level: "City", Name: "Valencia", Parent: "Nowhere"},
 	}
-	if err := w.AddMembers(bad); err == nil {
+	if err := w.AddBatch(bad, "", nil); err == nil {
 		t.Fatal("bad batch accepted")
 	}
-	if len(rec.members) != 1 {
-		t.Fatalf("failed batch reached the journal: %v", rec.members)
-	}
-	// An invalid fact batch is rejected before the journal call too.
 	badRows := []FactRow{{Coords: map[string]string{"City": "Nowhere", "Date": "2004-01-01"}}}
-	if err := w.AddFactRows("Weather", badRows); err == nil {
+	if err := w.AddBatch(nil, "Weather", badRows); err == nil {
 		t.Fatal("bad fact batch accepted")
 	}
-	if len(rec.factRows) != 1 {
-		t.Fatalf("failed fact batch reached the journal: %v", rec.factRows)
+	if len(rec.batches) != 1 {
+		t.Fatalf("failed batch reached the journal: %v", rec.batches)
 	}
 
-	// Journal failure surfaces to the caller.
+	// Journal failure surfaces to the caller, and the batch is not
+	// applied: the log is written ahead of the tables.
 	rec.fail = true
-	if err := w.AddFactRows("Weather", []FactRow{
+	if err := w.AddBatch(nil, "Weather", []FactRow{
 		{Coords: map[string]string{"City": "Barcelona", "Date": "2004-01-01"}, Measures: map[string]float64{"TempC": 1}},
 	}); err == nil {
 		t.Fatal("journal failure swallowed")
+	}
+	if n := w.FactCount("Weather"); n != 3 {
+		t.Fatalf("batch applied despite its journal failure: FactCount = %d, want 3", n)
 	}
 }

@@ -65,18 +65,16 @@ type Warehouse struct {
 // of the durability subsystem (internal/store). Implementations append
 // the batch to stable storage and return any I/O error.
 type Journal interface {
-	LogMembers(specs []MemberSpec) error
-	LogFactRows(fact string, rows []FactRow) error
-	// LogBatch records one combined member+fact-row commit (AddBatch) as a
-	// single log record, so a crash can never replay the members without
-	// their rows.
+	// LogBatch records one AddBatch commit — its members and the fact rows
+	// that depend on them — as a single log record, so a crash can never
+	// replay the members without their rows.
 	LogBatch(specs []MemberSpec, fact string, rows []FactRow) error
 }
 
-// SetJournal installs (or, with nil, removes) the redo journal. Every
-// subsequent successful AddMember/AddMembers call and every validated
-// AddFact/AddFactRows batch is logged under the write lock, in commit
-// order. Because the warehouse itself is volatile, logging inside the
+// SetJournal installs (or, with nil, removes) the redo journal. AddBatch
+// is the warehouse's only write, so every subsequent validated batch is
+// logged — one LogBatch call — under the write lock, in commit order.
+// Because the warehouse itself is volatile, logging inside the
 // commit (after validation, before the caller is acked) gives write-ahead
 // semantics: a batch is recoverable if and only if its caller saw
 // success. Recovery must attach the journal only after WAL replay, or
@@ -113,55 +111,38 @@ func New(schema *mdm.Schema) (*Warehouse, error) {
 // Schema returns the schema the warehouse was built for.
 func (w *Warehouse) Schema() *mdm.Schema { return w.schema }
 
-// AddMember inserts (or finds) a member of a dimension level and returns
-// its surrogate key. parentName names the member's parent at the
-// RollsUpTo level and must already exist ("" for top levels or unknown
-// parents). Re-adding an existing member updates its attributes and parent
-// when provided.
-func (w *Warehouse) AddMember(dim, level, name string, attrs map[string]string, parentName string) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	key, err := w.addMemberLocked(dim, level, name, attrs, parentName)
-	if err != nil {
-		return 0, err
-	}
-	if w.journal != nil {
-		spec := MemberSpec{Dim: dim, Level: level, Name: name, Parent: parentName, Attrs: attrs}
-		if jerr := w.journal.LogMembers([]MemberSpec{spec}); jerr != nil {
-			return 0, fmt.Errorf("dw: journal: %w", jerr)
-		}
-	}
-	return key, nil
-}
-
-func (w *Warehouse) addMemberLocked(dim, level, name string, attrs map[string]string, parentName string) (int, error) {
-	dd, ok := w.dims[dim]
+// addMemberLocked applies one member spec: it inserts the member or,
+// when the name exists, merges its attributes and moves its parent when
+// one is given. The checks repeat AddBatch's validation, so a spec that
+// slipped past it fails loudly instead of corrupting the level. Caller
+// holds the write lock.
+func (w *Warehouse) addMemberLocked(s MemberSpec) error {
+	dd, ok := w.dims[s.Dim]
 	if !ok {
-		return 0, fmt.Errorf("dw: unknown dimension %q", dim)
+		return fmt.Errorf("dw: unknown dimension %q", s.Dim)
 	}
-	lt, ok := dd.levels[level]
+	lt, ok := dd.levels[s.Level]
 	if !ok {
-		return 0, fmt.Errorf("dw: unknown level %q of dimension %q", level, dim)
+		return fmt.Errorf("dw: unknown level %q of dimension %q", s.Level, s.Dim)
 	}
-	if name == "" {
-		return 0, fmt.Errorf("dw: empty member name for %s.%s", dim, level)
+	if s.Name == "" {
+		return fmt.Errorf("dw: empty member name for %s.%s", s.Dim, s.Level)
 	}
-	lvl := dd.class.Level(level)
+	lvl := dd.class.Level(s.Level)
 	parent := NoParent
-	if parentName != "" {
+	if s.Parent != "" {
 		if lvl.RollsUpTo == "" {
-			return 0, fmt.Errorf("dw: level %q of %q is the hierarchy top, cannot have parent %q", level, dim, parentName)
+			return fmt.Errorf("dw: level %q of %q is the hierarchy top, cannot have parent %q", s.Level, s.Dim, s.Parent)
 		}
-		pt := dd.levels[lvl.RollsUpTo]
-		pk, ok := pt.byName[parentName]
+		pk, ok := dd.levels[lvl.RollsUpTo].byName[s.Parent]
 		if !ok {
-			return 0, fmt.Errorf("dw: parent %q not found at level %q of %q", parentName, lvl.RollsUpTo, dim)
+			return fmt.Errorf("dw: parent %q not found at level %q of %q", s.Parent, lvl.RollsUpTo, s.Dim)
 		}
 		parent = pk
 	}
-	if key, ok := lt.byName[name]; ok {
+	if key, ok := lt.byName[s.Name]; ok {
 		m := &lt.members[key]
-		for k, v := range attrs {
+		for k, v := range s.Attrs {
 			if m.Attrs == nil {
 				m.Attrs = make(map[string]string)
 			}
@@ -171,50 +152,26 @@ func (w *Warehouse) addMemberLocked(dim, level, name string, attrs map[string]st
 			m.Parent = parent
 			w.invalidateRollups()
 		}
-		return key, nil
+		return nil
 	}
 	w.invalidateRollups()
 	key := len(lt.members)
-	cp := make(map[string]string, len(attrs))
-	for k, v := range attrs {
+	cp := make(map[string]string, len(s.Attrs))
+	for k, v := range s.Attrs {
 		cp[k] = v
 	}
-	lt.members = append(lt.members, Member{Key: key, Name: name, Attrs: cp, Parent: parent})
-	lt.byName[name] = key
-	return key, nil
+	lt.members = append(lt.members, Member{Key: key, Name: s.Name, Attrs: cp, Parent: parent})
+	lt.byName[s.Name] = key
+	return nil
 }
 
-// MemberSpec describes one member for batch insertion via AddMembers.
+// MemberSpec describes one member of an AddBatch commit.
 type MemberSpec struct {
 	Dim    string
 	Level  string
 	Name   string
 	Parent string // parent member name at the RollsUpTo level; "" for none
 	Attrs  map[string]string
-}
-
-// AddMembers inserts a batch of members under a single lock acquisition —
-// the bulk path the QA feed uses when Step 5 loads a month of harvested
-// records at once. Specs are applied in order, so parents must precede
-// their children (or already exist). The first failing spec aborts the
-// batch; members inserted before it remain (AddMember semantics).
-func (w *Warehouse) AddMembers(specs []MemberSpec) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, s := range specs {
-		if _, err := w.addMemberLocked(s.Dim, s.Level, s.Name, s.Attrs, s.Parent); err != nil {
-			return err
-		}
-	}
-	// Journalled only when the whole batch applied: a failing spec aborts
-	// with nothing logged, so recovery drops the (unacked) applied prefix
-	// rather than replaying a batch that would fail again.
-	if w.journal != nil && len(specs) > 0 {
-		if err := w.journal.LogMembers(specs); err != nil {
-			return fmt.Errorf("dw: journal: %w", err)
-		}
-	}
-	return nil
 }
 
 // MemberKey returns the surrogate key of a member by name, or an error.
@@ -311,92 +268,27 @@ func (w *Warehouse) MemberCount(dim, level string) int {
 	return 0
 }
 
-// AddFact appends a fact row. coords maps each role of the fact to a
-// base-level member *name*; every role must be present and resolvable.
-func (w *Warehouse) AddFact(fact string, coords map[string]string, measures map[string]float64) error {
-	return w.AddFactProvenance(fact, coords, measures, "")
-}
-
-// AddFactProvenance is AddFact with a lineage string attached to the row.
-func (w *Warehouse) AddFactProvenance(fact string, coords map[string]string, measures map[string]float64, provenance string) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	fd, ok := w.facts[fact]
-	if !ok {
-		return fmt.Errorf("dw: unknown fact %q", fact)
-	}
-	keys, vals, err := w.resolveRowLocked(fd, fact, coords, measures)
-	if err != nil {
-		return err
-	}
-	// Write-ahead: the row is fully validated, so log-then-append cannot
-	// leave the journal claiming a row the warehouse rejected.
-	if w.journal != nil {
-		row := FactRow{Coords: coords, Measures: measures, Provenance: provenance}
-		if jerr := w.journal.LogFactRows(fact, []FactRow{row}); jerr != nil {
-			return fmt.Errorf("dw: journal: %w", jerr)
-		}
-	}
-	fd.appendRow(keys, vals, provenance)
-	return nil
-}
-
-// FactRow is one row for batch fact loading via AddFactRows.
+// FactRow is one fact row of an AddBatch commit.
 type FactRow struct {
 	Coords     map[string]string  // role → base-level member name
 	Measures   map[string]float64 // measure name → value
 	Provenance string             // lineage; "" for none
 }
 
-// AddFactRows appends a batch of fact rows under a single lock
-// acquisition. The batch is atomic: every row is resolved and validated
-// before the first one is stored, so a bad row leaves the fact table
-// untouched (unlike a loop over AddFact, which commits the prefix).
-func (w *Warehouse) AddFactRows(fact string, rows []FactRow) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	fd, ok := w.facts[fact]
-	if !ok {
-		return fmt.Errorf("dw: unknown fact %q", fact)
-	}
-	keys := make([][]int32, len(rows))
-	vals := make([][]float64, len(rows))
-	for r, row := range rows {
-		k, v, err := w.resolveRowLocked(fd, fact, row.Coords, row.Measures)
-		if err != nil {
-			return fmt.Errorf("dw: batch row %d: %w", r, err)
-		}
-		keys[r], vals[r] = k, v
-	}
-	// Write-ahead: every row resolved and validated above, so the batch
-	// cannot fail past this point; log it before the first append.
-	if w.journal != nil {
-		if err := w.journal.LogFactRows(fact, rows); err != nil {
-			return fmt.Errorf("dw: journal: %w", err)
-		}
-	}
-	for r := range rows {
-		fd.appendRow(keys[r], vals[r], rows[r].Provenance)
-	}
-	return nil
-}
-
-// AddBatch commits a member batch and a fact-row batch as one atomic
-// warehouse transaction: either every member and every row lands, or
-// nothing does. Everything is validated first against the live tables
-// plus a pending overlay (so specs may parent each other and rows may
-// reference members introduced earlier in the same batch), then the
-// whole transaction is journalled as a single combined WAL record, then
-// applied — the apply step cannot fail after validation, so the caller
-// never observes members committed without their rows (the failure mode
-// a loop of AddMembers-then-AddFactRows has). Specs are applied in
-// order; parents must precede their children or already exist. An empty
-// batch is a no-op and journals nothing; rows may be empty when only
-// members are loaded (fact must still name a known fact when rows are
-// present).
+// AddBatch is the warehouse's only write: it commits a member batch and
+// a fact-row batch as one atomic transaction — either every member and
+// every row lands, or nothing does. Everything is validated first
+// against the live tables plus a pending overlay (so specs may parent
+// each other and rows may reference members introduced earlier in the
+// same batch), then the whole transaction is journalled as a single
+// combined WAL record, then applied. The apply step cannot fail after
+// validation, so neither a caller nor a reader ever observes members
+// committed without their rows. Specs are applied in order; parents
+// must precede their children or already exist. Re-adding an existing
+// member merges its attributes and moves its parent when one is given.
+// An empty batch is a no-op and journals nothing; rows may be empty when
+// only members are loaded (fact must still name a known fact when rows
+// are present).
 func (w *Warehouse) AddBatch(specs []MemberSpec, fact string, rows []FactRow) error {
 	if len(specs) == 0 && len(rows) == 0 {
 		return nil
@@ -476,7 +368,7 @@ func (w *Warehouse) AddBatch(specs []MemberSpec, fact string, rows []FactRow) er
 		}
 	}
 	for _, s := range specs {
-		if _, err := w.addMemberLocked(s.Dim, s.Level, s.Name, s.Attrs, s.Parent); err != nil {
+		if err := w.addMemberLocked(s); err != nil {
 			// Unreachable while the validation above mirrors
 			// addMemberLocked; surfaced loudly rather than swallowed.
 			return fmt.Errorf("dw: applying validated batch spec: %w", err)

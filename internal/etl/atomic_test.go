@@ -115,8 +115,8 @@ func TestRestoreDedupMatchesCanonicalMembers(t *testing.T) {
 // real store on a fault-injected filesystem: when the WAL refuses the
 // feed, NOTHING lands — no members, no rows, no dedup marks — and the
 // identical retry after the disk recovers loads everything. Before the
-// fix, AddMembers committed durably before AddFactRows failed, leaving
-// members without rows and dedup keys abandoned in limbo.
+// fix, the feed's members committed durably before its rows failed,
+// leaving members without rows and dedup keys abandoned in limbo.
 func TestLoadAllAtomicOnJournalFailure(t *testing.T) {
 	ffs := store.NewFaultFS(store.OS())
 	st, err := store.OpenFS(filepath.Join(t.TempDir(), "data"), ffs)
@@ -186,10 +186,10 @@ func TestLoadAllTouchedFootprint(t *testing.T) {
 	l, wh := newLoader(t)
 	// Pre-build a City hierarchy so the ancestor walk has somewhere to
 	// go: Barcelona rolls up to Spain.
-	if _, err := wh.AddMember("City", "Country", "Spain", nil, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wh.AddMember("City", "City", "Barcelona", nil, "Spain"); err != nil {
+	if err := wh.AddBatch([]dw.MemberSpec{
+		{Dim: "City", Level: "Country", Name: "Spain"},
+		{Dim: "City", Level: "City", Name: "Barcelona", Parent: "Spain"},
+	}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -36,7 +36,7 @@ func weatherSchema() *mdm.Schema {
 			{Role: "Date", Dimension: "Date"},
 		},
 	}
-	return mdm.NewSchema("w").AddDimension(city).AddDimension(date).AddFact(weather)
+	return mdm.NewSchema("w").AddDimension(city).AddDimension(date).AddFactClass(weather)
 }
 
 func axiomOntology(t *testing.T) *ontology.Ontology {

@@ -87,7 +87,7 @@ func cellValue(t *testing.T, tbl *Table, rowKey string, col int) float64 {
 }
 
 // TestExperimentShapes verifies the qualitative shapes the paper claims;
-// the exact numbers live in EXPERIMENTS.md.
+// `benchreport` prints the exact numbers.
 func TestExperimentShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite is slow")

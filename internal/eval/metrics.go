@@ -1,7 +1,7 @@
 // Package eval implements the evaluation harness: retrieval/extraction
 // metrics and one runnable experiment per table and figure of the paper
 // (plus the quantified versions of its qualitative claims). Every
-// experiment returns a Table whose rows are what EXPERIMENTS.md records.
+// experiment returns a Table; DESIGN.md §5 indexes the experiments.
 package eval
 
 import (

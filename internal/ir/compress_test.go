@@ -138,7 +138,7 @@ func TestSnapshotMixedRawCompressedLists(t *testing.T) {
 		}
 		sb.WriteString(" report. ")
 	}
-	if err := src.Add(Document{URL: "http://w/mix", Text: sb.String()}); err != nil {
+	if err := src.AddBatch([]Document{{URL: "http://w/mix", Text: sb.String()}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -176,10 +176,10 @@ func TestSnapshotMixedRawCompressedLists(t *testing.T) {
 	// Growth after restore: adds append to the adopted wire bytes without
 	// corrupting them, and both indexes keep agreeing.
 	extra := Document{URL: "http://w/more", Text: "common weather continues. rareb returns again."}
-	if err := src.Add(extra); err != nil {
+	if err := src.AddBatch([]Document{extra}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Add(extra); err != nil {
+	if err := dst.AddBatch([]Document{extra}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(dst.Export(), src.Export()) {

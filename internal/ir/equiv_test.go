@@ -39,8 +39,8 @@ func randomIndex(t *testing.T, rng *rand.Rand) *Index {
 			b.WriteString(randomSentence(rng))
 			b.WriteString(" ")
 		}
-		if err := ix.Add(Document{URL: fmt.Sprintf("http://e.example/%d", d), Text: b.String()}); err != nil {
-			t.Fatalf("Add: %v", err)
+		if err := ix.AddBatch([]Document{{URL: fmt.Sprintf("http://e.example/%d", d), Text: b.String()}}); err != nil {
+			t.Fatalf("AddBatch: %v", err)
 		}
 	}
 	return ix
@@ -116,7 +116,7 @@ func TestSparseDenseEquivalenceAcrossGrowth(t *testing.T) {
 	ix := NewIndex(WithPassageSize(2), WithStride(1))
 	for d := 0; d < 12; d++ {
 		text := randomSentence(rng) + " " + randomSentence(rng) + " " + randomSentence(rng)
-		if err := ix.Add(Document{URL: fmt.Sprintf("http://g.example/%d", d), Text: text}); err != nil {
+		if err := ix.AddBatch([]Document{{URL: fmt.Sprintf("http://g.example/%d", d), Text: text}}); err != nil {
 			t.Fatal(err)
 		}
 		assertSameRanking(t, ix, []string{"storm", "harbor", "temperature"}, 4)

@@ -86,7 +86,7 @@ type passageEntry struct {
 }
 
 // docSlot holds one document's analysed sentences, either eagerly (a
-// live Add) or lazily (a snapshot restore keeps the wire token block and
+// live AddBatch) or lazily (a snapshot restore keeps the wire token block and
 // decodes on first touch — sentsAt). lazy decode synchronises through
 // once, so concurrent readers under the index read lock are safe; block
 // and the counts are immutable after construction.
@@ -115,7 +115,7 @@ type Index struct {
 
 	// tokTags / tokLemmas are the snapshot's tag and lemma intern tables,
 	// kept so lazy doc slots decode against them and Export reuses stored
-	// blocks verbatim. Empty for an index built purely by Add.
+	// blocks verbatim. Empty for an index built purely by AddBatch.
 	tokTags   []string
 	tokLemmas []string
 
@@ -215,31 +215,13 @@ func splitDoc(doc Document) ([]nlp.Sentence, error) {
 	return sents, nil
 }
 
-// Add indexes a document: sentence split, lemmatisation, stopword removal,
-// passage windowing. Empty documents are rejected.
-func (ix *Index) Add(doc Document) error {
-	sents, err := splitDoc(doc)
-	if err != nil {
-		return err
-	}
-
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-
-	ix.addLocked(doc, sents)
-	if ix.journal != nil {
-		if err := ix.journal.LogDocument(doc); err != nil {
-			return fmt.Errorf("ir: journal: %w", err)
-		}
-	}
-	return nil
-}
-
-// AddBatch indexes a batch of documents as one write-lock acquisition and
-// one journal record (Journal.LogDocuments — one fsync however large the
-// batch). Every document is validated and sentence-split before the first
-// one is installed, so a malformed document rejects the whole batch with
-// the index untouched; this is the streaming seeder's commit unit.
+// AddBatch is the index's only write: it indexes a batch of documents —
+// sentence split, lemmatisation, stopword removal, passage windowing — as
+// one write-lock acquisition and one journal record (Journal.LogDocuments
+// — one fsync however large the batch). Every document is validated and
+// sentence-split before the first one is installed, so an empty or
+// sentence-less document rejects the whole batch with the index
+// untouched; this is the streaming seeder's commit unit.
 func (ix *Index) AddBatch(docs []Document) error {
 	if len(docs) == 0 {
 		return nil
@@ -333,20 +315,6 @@ func (ix *Index) HasURL(url string) bool {
 	defer ix.mu.RUnlock()
 	_, ok := ix.byURL[url]
 	return ok
-}
-
-// AddAll indexes a batch of documents, collecting per-document errors.
-func (ix *Index) AddAll(docs []Document) error {
-	var errs []string
-	for _, d := range docs {
-		if err := ix.Add(d); err != nil {
-			errs = append(errs, err.Error())
-		}
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("ir: %d documents failed: %s", len(errs), strings.Join(errs, "; "))
-	}
-	return nil
 }
 
 // DocCount returns the number of indexed documents.

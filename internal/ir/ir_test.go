@@ -25,21 +25,25 @@ func testDocs() []Document {
 func newTestIndex(t *testing.T, opts ...Option) *Index {
 	t.Helper()
 	ix := NewIndex(opts...)
-	if err := ix.AddAll(testDocs()); err != nil {
-		t.Fatalf("AddAll: %v", err)
+	if err := ix.AddBatch(testDocs()); err != nil {
+		t.Fatalf("AddBatch: %v", err)
 	}
 	return ix
 }
 
 func TestAddRejectsEmpty(t *testing.T) {
 	ix := NewIndex()
-	if err := ix.Add(Document{URL: "x", Text: "   "}); err == nil {
+	if err := ix.AddBatch([]Document{{URL: "x", Text: "   "}}); err == nil {
 		t.Error("empty document accepted")
 	}
-	if err := ix.AddAll([]Document{{URL: "a", Text: ""}, {URL: "b", Text: "Valid text here."}}); err == nil {
-		t.Error("AddAll should report the failed document")
-	} else if !strings.Contains(err.Error(), "1 documents failed") {
-		t.Errorf("AddAll error = %v", err)
+	// One bad document rejects its whole batch, naming it.
+	if err := ix.AddBatch([]Document{{URL: "b", Text: "Valid text here."}, {URL: "a", Text: ""}}); err == nil {
+		t.Error("a batch with an empty document was accepted")
+	} else if !strings.Contains(err.Error(), "batch document 1") {
+		t.Errorf("AddBatch error = %v", err)
+	}
+	if n := ix.DocCount(); n != 0 {
+		t.Errorf("rejected batches left %d documents", n)
 	}
 }
 
@@ -193,7 +197,7 @@ func TestPassageWindowing(t *testing.T) {
 		fmt.Fprintf(&b, "Sentence %s mentions topic %s. ", w, w)
 	}
 	ix := NewIndex(WithPassageSize(3), WithStride(1))
-	if err := ix.Add(Document{URL: "d", Text: b.String()}); err != nil {
+	if err := ix.AddBatch([]Document{{URL: "d", Text: b.String()}}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := ix.PassageCount(), 8; got != want {
@@ -216,7 +220,7 @@ func TestPassageWindowing(t *testing.T) {
 func TestPassageCoverage(t *testing.T) {
 	for _, stride := range []int{1, 2, 3, 8} {
 		ix := NewIndex(WithPassageSize(3), WithStride(stride))
-		if err := ix.AddAll(testDocs()); err != nil {
+		if err := ix.AddBatch(testDocs()); err != nil {
 			t.Fatal(err)
 		}
 		covered := map[string]map[int]bool{}
@@ -283,17 +287,13 @@ func BenchmarkIndexAdd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ix := NewIndex()
-		for _, d := range docs {
-			_ = ix.Add(d)
-		}
+		_ = ix.AddBatch(docs)
 	}
 }
 
 func BenchmarkSearch(b *testing.B) {
 	ix := NewIndex()
-	for _, d := range testDocs() {
-		_ = ix.Add(d)
-	}
+	_ = ix.AddBatch(testDocs())
 	terms := QueryTerms("temperature january 2004 barcelona")
 	b.ReportAllocs()
 	b.ResetTimer()

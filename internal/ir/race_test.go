@@ -13,7 +13,7 @@ import (
 // the passage count) grow concurrently. Run with -race to arm it.
 func TestAddWhileSearchRace(t *testing.T) {
 	ix := NewIndex(WithPassageSize(2), WithStride(1))
-	if err := ix.AddAll(testDocs()); err != nil {
+	if err := ix.AddBatch(testDocs()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -31,8 +31,8 @@ func TestAddWhileSearchRace(t *testing.T) {
 				Text: fmt.Sprintf("Fresh document number %d mentions temperature in Barcelona. "+
 					"Another sentence cites term%d and weather in January.", i, i),
 			}
-			if err := ix.Add(doc); err != nil {
-				t.Errorf("Add: %v", err)
+			if err := ix.AddBatch([]Document{doc}); err != nil {
+				t.Errorf("AddBatch: %v", err)
 				return
 			}
 		}

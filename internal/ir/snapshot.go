@@ -204,7 +204,7 @@ func (ix *Index) Import(snap *Snapshot) error {
 		}
 	}
 	ix.terms = terms
-	// Capacity is clamped so a later Add's flush reallocates instead of
+	// Capacity is clamped so a later AddBatch's flush reallocates instead of
 	// growing in place into the snapshot buffer (whose tail bytes other
 	// lists alias when the store hands us slices of one file image).
 	ix.postings = make([]postingList, len(snap.Postings))
@@ -253,21 +253,21 @@ func (ix *Index) validateBlocks(snap *Snapshot) error {
 	return nil
 }
 
-// Journal receives every successfully indexed document — the redo log of
-// the durability subsystem (internal/store). Replaying the documents in
-// log order on top of a restored snapshot reproduces the exact index
-// state, including term ids (the dictionary is append-only in
-// first-occurrence order).
+// Journal receives every successfully indexed batch — the redo log of
+// the durability subsystem (internal/store). Replaying the batches in log
+// order on top of a restored snapshot reproduces the exact index state,
+// including term ids (the dictionary is append-only in first-occurrence
+// order).
 type Journal interface {
-	LogDocument(doc Document) error
-	// LogDocuments records one indexed batch (AddBatch) as a single log
-	// record — one fsync per batch instead of per document.
+	// LogDocuments records one AddBatch commit as a single log record —
+	// one fsync per batch instead of per document.
 	LogDocuments(docs []Document) error
 }
 
-// SetJournal installs (or, with nil, removes) the redo journal. Each Add
-// logs its document under the write lock after the document is fully
-// indexed, so the log preserves indexing order and only acked documents
+// SetJournal installs (or, with nil, removes) the redo journal. AddBatch
+// is the index's only write, so each subsequent batch is logged — one
+// LogDocuments call — under the write lock after its documents are fully
+// indexed: the log preserves indexing order and only acked documents
 // appear in it. Recovery must attach the journal only after WAL replay.
 func (ix *Index) SetJournal(j Journal) {
 	ix.mu.Lock()

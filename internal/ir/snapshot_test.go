@@ -23,7 +23,7 @@ func snapTestDocs() []Document {
 
 func TestIndexSnapshotRoundTrip(t *testing.T) {
 	src := NewIndex(WithPassageSize(3), WithStride(1))
-	if err := src.AddAll(snapTestDocs()); err != nil {
+	if err := src.AddBatch(snapTestDocs()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,10 +66,10 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 	// new document to both indexes interns identical ids and both keep
 	// answering identically.
 	extra := Document{URL: "http://w/sev", Text: "Seville bakes in summer. July temperatures pass 40 degrees. The river cools the evenings."}
-	if err := src.Add(extra); err != nil {
+	if err := src.AddBatch([]Document{extra}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Add(extra); err != nil {
+	if err := dst.AddBatch([]Document{extra}); err != nil {
 		t.Fatal(err)
 	}
 	if dst.TermCount() != src.TermCount() {
@@ -83,7 +83,7 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 
 func TestIndexImportRejectsCorruptSnapshots(t *testing.T) {
 	src := NewIndex(WithPassageSize(3), WithStride(1))
-	if err := src.AddAll(snapTestDocs()); err != nil {
+	if err := src.AddBatch(snapTestDocs()); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -123,7 +123,7 @@ func TestIndexImportRejectsCorruptSnapshots(t *testing.T) {
 	}
 	// Import refuses a non-empty target.
 	dst := NewIndex()
-	if err := dst.Add(Document{URL: "u", Text: "Some text here."}); err != nil {
+	if err := dst.AddBatch([]Document{{URL: "u", Text: "Some text here."}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.Import(src.Export()); err == nil {
@@ -135,14 +135,6 @@ func TestIndexImportRejectsCorruptSnapshots(t *testing.T) {
 type docJournal struct {
 	docs []Document
 	fail bool
-}
-
-func (j *docJournal) LogDocument(doc Document) error {
-	if j.fail {
-		return fmt.Errorf("journal down")
-	}
-	j.docs = append(j.docs, doc)
-	return nil
 }
 
 func (j *docJournal) LogDocuments(docs []Document) error {
@@ -158,14 +150,14 @@ func TestIndexJournalHook(t *testing.T) {
 	j := &docJournal{}
 	ix.SetJournal(j)
 	docs := snapTestDocs()
-	if err := ix.AddAll(docs); err != nil {
+	if err := ix.AddBatch(docs); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(j.docs, docs) {
 		t.Fatalf("journalled docs diverge: %d vs %d", len(j.docs), len(docs))
 	}
 	// Rejected documents never reach the journal.
-	if err := ix.Add(Document{URL: "empty", Text: "   "}); err == nil {
+	if err := ix.AddBatch([]Document{{URL: "empty", Text: "   "}}); err == nil {
 		t.Fatal("empty document accepted")
 	}
 	if len(j.docs) != len(docs) {
@@ -173,7 +165,7 @@ func TestIndexJournalHook(t *testing.T) {
 	}
 	// Journal failure surfaces.
 	j.fail = true
-	if err := ix.Add(Document{URL: "x", Text: "More text arrives."}); err == nil {
+	if err := ix.AddBatch([]Document{{URL: "x", Text: "More text arrives."}}); err == nil {
 		t.Fatal("journal failure swallowed")
 	}
 }

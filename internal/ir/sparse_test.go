@@ -43,7 +43,7 @@ func TestTermCount(t *testing.T) {
 	}
 	// Interning is stable: re-adding vocabulary does not mint new ids.
 	before := ix.TermCount()
-	if err := ix.Add(testDocs()[0]); err != nil {
+	if err := ix.AddBatch(testDocs()[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if got := ix.TermCount(); got != before {

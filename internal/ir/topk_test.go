@@ -80,7 +80,7 @@ func TestSearchTopKPrefixStable(t *testing.T) {
 				text += "Flights depart on time from the airport. "
 			}
 		}
-		if err := ix.Add(Document{URL: fmt.Sprintf("doc-%d", d), Text: text}); err != nil {
+		if err := ix.AddBatch([]Document{{URL: fmt.Sprintf("doc-%d", d), Text: text}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestSearchDocumentsTopK(t *testing.T) {
 		{URL: "b", Text: "Madrid weather is dry. The summer is hot in Madrid."},
 		{URL: "c", Text: "Flight schedules changed this morning at the airport."},
 	}
-	if err := ix.AddAll(docs); err != nil {
+	if err := ix.AddBatch(docs); err != nil {
 		t.Fatal(err)
 	}
 	terms := QueryTerms("warm Barcelona weather")

@@ -152,8 +152,8 @@ func (s *Schema) AddDimension(d *DimensionClass) *Schema {
 	return s
 }
 
-// AddFact appends a fact class.
-func (s *Schema) AddFact(f *FactClass) *Schema {
+// AddFactClass appends a fact class.
+func (s *Schema) AddFactClass(f *FactClass) *Schema {
 	s.Facts = append(s.Facts, f)
 	return s
 }

@@ -16,7 +16,7 @@ func validSchema() *Schema {
 				{Name: "Country", Descriptor: "Name"},
 			},
 		}).
-		AddFact(&FactClass{
+		AddFactClass(&FactClass{
 			Name:     "Sales",
 			Measures: []Measure{{Name: "Price", Type: TypeFloat}},
 			Dimensions: []DimensionRef{
@@ -54,7 +54,7 @@ func TestValidateFailures(t *testing.T) {
 		{"fact no dims", func(s *Schema) { s.Facts[0].Dimensions = nil }, "no dimensions"},
 		{"dup role", func(s *Schema) { s.Facts[0].Dimensions[1].Role = "Departure" }, "duplicate role"},
 		{"unknown dim ref", func(s *Schema) { s.Facts[0].Dimensions[0].Dimension = "Ghost" }, "unknown dimension"},
-		{"dup fact", func(s *Schema) { s.AddFact(s.Facts[0]) }, "duplicate fact"},
+		{"dup fact", func(s *Schema) { s.AddFactClass(s.Facts[0]) }, "duplicate fact"},
 	}
 	for _, c := range cases {
 		s := validSchema()

@@ -25,7 +25,7 @@ func fuzzSystemInit(t *testing.T) *System {
 			{URL: "http://astro.example/sirius", Text: "Sirius is the brightest star in the night sky. " +
 				"Sirius was recorded in 2004 by astronomers."},
 		}
-		if err := ix.AddAll(docs); err != nil {
+		if err := ix.AddBatch(docs); err != nil {
 			panic(err)
 		}
 		sys, err := NewSystem(wordnet.Seed(), nil, ix, DefaultConfig())

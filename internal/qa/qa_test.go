@@ -59,7 +59,7 @@ func buildSystem(t *testing.T, cfg Config, tuned bool) (*System, *webcorpus.Corp
 	}
 	corpus := webcorpus.Build(webcorpus.DefaultConfig())
 	index := ir.NewIndex()
-	if err := index.AddAll(corpus.Documents(false)); err != nil {
+	if err := index.AddBatch(corpus.Documents(false)); err != nil {
 		t.Fatalf("index: %v", err)
 	}
 	sys, err := NewSystem(wn, dom, index, cfg)

@@ -20,7 +20,8 @@ import (
 // Catch-up protocol, per shard and per poll:
 //
 //  1. Tail the WAL from the applied sequence. Every record applies in
-//     order to the live node — the same handlers boot replay uses.
+//     order to the live node through Cluster.ReplayHandlers, the handlers
+//     leader boot replay uses.
 //  2. If the log's first record is beyond applied+1, the leader
 //     published a snapshot covering the gap and reset the log
 //     (ErrReplicaGap): reload the newest snapshot, swap the shard's
@@ -117,23 +118,6 @@ func (f *Follower) installLocked(i int, state *store.State) error {
 	return nil
 }
 
-// handlers returns the WAL apply handlers for shard i's current node.
-// Rebuilt per use: a snapshot reload swaps the node.
-func (f *Follower) handlers(i int) store.ReplayHandlers {
-	node := f.c.Node(i)
-	return store.ReplayHandlers{
-		Members:  node.WH.AddMembers,
-		FactRows: node.WH.AddFactRows,
-		Document: func(doc ir.Document) error {
-			if err := node.IX.Add(doc); err != nil {
-				return err
-			}
-			f.c.NoteDocument(doc.Ord, i, node.IX.DocCount()-1)
-			return nil
-		},
-	}
-}
-
 // Poll advances every shard: tail new WAL records onto the live nodes,
 // reloading from a newer snapshot when the log was reset underneath us.
 // Returns the number of records applied across shards; the caller
@@ -155,7 +139,7 @@ func (f *Follower) Poll() (int, error) {
 // pollShardLocked runs the catch-up protocol for one shard.
 func (f *Follower) pollShardLocked(i int) (int, error) {
 	dir := ShardDir(f.root, i)
-	applied, newSeq, err := store.TailWAL(f.fs, dir, f.applied[i], f.handlers(i))
+	applied, newSeq, err := store.TailWAL(f.fs, dir, f.applied[i], f.c.ReplayHandlers(i))
 	if errors.Is(err, store.ErrReplicaGap) {
 		n, rerr := f.reloadLocked(i)
 		return n, rerr
@@ -192,7 +176,7 @@ func (f *Follower) reloadLocked(i int) (int, error) {
 	if err := f.installLocked(i, state); err != nil {
 		return 0, err
 	}
-	applied, newSeq, err := store.TailWAL(f.fs, dir, f.applied[i], f.handlers(i))
+	applied, newSeq, err := store.TailWAL(f.fs, dir, f.applied[i], f.c.ReplayHandlers(i))
 	if err != nil {
 		return applied, err
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dwqa/internal/ir"
+	"dwqa/internal/store"
 )
 
 // Federated retrieval over the sharded passage index. Ranking stays
@@ -29,7 +30,7 @@ func (c *Cluster) AddDocument(doc ir.Document, key string) error {
 	s := c.hashShard(key)
 	node := c.Node(s)
 	doc.Ord = c.nextOrd
-	if err := node.IX.Add(doc); err != nil {
+	if err := node.IX.AddBatch([]ir.Document{doc}); err != nil {
 		return err
 	}
 	c.ordDoc[doc.Ord] = [2]int{s, node.IX.DocCount() - 1}
@@ -47,16 +48,34 @@ func (c *Cluster) HasURL(url string) bool {
 	return false
 }
 
-// NoteDocument records a replayed document's placement — the WAL replay
-// and tail paths index documents directly on a shard's node (their Ord
-// was assigned at original ingest and persisted) and then register the
-// (ordinal → shard, local index) mapping here.
-func (c *Cluster) NoteDocument(ord int64, shard, localIndex int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ordDoc[ord] = [2]int{shard, localIndex}
-	if ord >= c.nextOrd {
-		c.nextOrd = ord + 1
+// ReplayHandlers returns the WAL apply handlers for shard i's current
+// node — the one replay path leader recovery and the follower tail
+// share. A warehouse batch re-commits through the node's AddBatch. A
+// document batch re-indexes through the index's AddBatch and registers
+// each document's (ordinal → shard, local index) placement; the ordinals
+// were assigned at original ingest and persisted in the record. The
+// cluster lock spans both, as in AddDocument, so a reader resolving an
+// ordinal never sees a document the map does not know yet. Resolve the
+// handlers per replay: a follower's snapshot reload swaps the node.
+func (c *Cluster) ReplayHandlers(i int) store.ReplayHandlers {
+	node := c.Node(i)
+	return store.ReplayHandlers{
+		Batch: node.WH.AddBatch,
+		Documents: func(docs []ir.Document) error {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			base := node.IX.DocCount()
+			if err := node.IX.AddBatch(docs); err != nil {
+				return err
+			}
+			for j, doc := range docs {
+				c.ordDoc[doc.Ord] = [2]int{i, base + j}
+				if doc.Ord >= c.nextOrd {
+					c.nextOrd = doc.Ord + 1
+				}
+			}
+			return nil
+		},
 	}
 }
 

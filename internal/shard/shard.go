@@ -2,15 +2,15 @@
 // city-dimension hash and serves scatter/gather queries over them with
 // answers byte-identical to a single-node deployment (DESIGN.md §10).
 //
-// Partitioning discipline: dimensions are replicated — every AddMember
-// goes to all shards in the same order, so member keys are identical
-// everywhere and any shard can validate or describe a query. Fact rows
-// are partitioned — each row hashes by the city its routing role rolls
-// up to (FNV-1a of the member name, mod N), so a city's rows, whatever
-// fact they belong to, land on one shard. Documents are partitioned the
-// same way by a caller-supplied routing key, with a cluster-wide ordinal
-// (ir.Document.Ord) assigned at ingest so federated ranking can break
-// ties exactly as one big index would.
+// Partitioning discipline: dimensions are replicated — every AddBatch
+// applies its member specs on all shards in the same order, so member
+// keys are identical everywhere and any shard can validate or describe
+// a query. Fact rows are partitioned — each row hashes by the city its
+// routing role rolls up to (FNV-1a of the member name, mod N), so a
+// city's rows, whatever fact they belong to, land on one shard.
+// Documents are partitioned the same way by a caller-supplied routing
+// key, with a cluster-wide ordinal (ir.Document.Ord) assigned at ingest
+// so federated ranking can break ties exactly as one big index would.
 //
 // Reads scatter to all shards and merge deterministically: OLAP plans
 // through dw.ExecuteCells/MergeCells, IR searches through the
@@ -205,76 +205,16 @@ func overlayParent(specs []dw.MemberSpec, dim, level, name string) string {
 	return ""
 }
 
-// --- Dimension writes: replicated to every shard in identical order ---
+// --- Writes: members replicated in identical order, rows partitioned ---
 
-// AddMember inserts a dimension member on every shard. Shards apply
-// members in the same sequence, so keys are identical everywhere; the
-// returned key is shard 0's (== every shard's).
-func (c *Cluster) AddMember(dim, level, name string, attrs map[string]string, parentName string) (int, error) {
-	key := -1
-	for i := 0; i < c.n; i++ {
-		k, err := c.Node(i).WH.AddMember(dim, level, name, attrs, parentName)
-		if err != nil {
-			return -1, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if i == 0 {
-			key = k
-		}
-	}
-	return key, nil
-}
-
-// AddMembers inserts a member batch on every shard.
-func (c *Cluster) AddMembers(specs []dw.MemberSpec) error {
-	for i := 0; i < c.n; i++ {
-		if err := c.Node(i).WH.AddMembers(specs); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// --- Fact writes: partitioned by routing key ---
-
-// AddFact appends one fact row to the shard its routing key hashes to.
-func (c *Cluster) AddFact(fact string, coords map[string]string, measures map[string]float64) error {
-	return c.AddFactProvenance(fact, coords, measures, "")
-}
-
-// AddFactProvenance is AddFact with a lineage tag.
-func (c *Cluster) AddFactProvenance(fact string, coords map[string]string, measures map[string]float64, provenance string) error {
-	key, err := c.RouteKey(fact, coords, nil)
-	if err != nil {
-		return err
-	}
-	return c.Node(c.hashShard(key)).WH.AddFactProvenance(fact, coords, measures, provenance)
-}
-
-// AddFactRows partitions a row batch by routing key and applies each
-// shard's slice as one atomic sub-batch. Atomicity is per shard: rows
-// are validated shard-locally before any are stored, but a failure on
-// shard k leaves shards < k committed — the single writer must treat
-// that as fatal, exactly as a half-applied WAL would be.
-func (c *Cluster) AddFactRows(fact string, rows []dw.FactRow) error {
-	groups, err := c.groupRows(fact, rows, nil)
-	if err != nil {
-		return err
-	}
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		if err := c.Node(i).WH.AddFactRows(fact, g); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// AddBatch applies one ETL commit unit: member specs replicate to every
-// shard, fact rows route by city with the uncommitted specs as parent
-// overlay. Each shard sees (its members, its rows) as one atomic
-// warehouse batch and one WAL record.
+// AddBatch is the cluster's only warehouse write, mirroring
+// dw.Warehouse.AddBatch: member specs replicate to every shard in the
+// same order (so member keys are identical everywhere), fact rows route
+// by city with the uncommitted specs as parent overlay. Each shard sees
+// (its members, its rows) as one atomic warehouse batch and one WAL
+// record. Atomicity is per shard: a failure on shard k leaves shards < k
+// committed — the single writer must treat that as fatal, exactly as a
+// half-applied WAL would be.
 func (c *Cluster) AddBatch(specs []dw.MemberSpec, fact string, rows []dw.FactRow) error {
 	groups, err := c.groupRows(fact, rows, specs)
 	if err != nil {

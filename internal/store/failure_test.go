@@ -33,7 +33,7 @@ func writeTestSnapshot(t *testing.T, s *Store, walSeq uint64) string {
 func walBackedSnapshots(t *testing.T, s *Store) (old, newest string) {
 	t.Helper()
 	for i := 0; i < 3; i++ {
-		if err := s.LogDocument(ir.Document{URL: "u", Text: "Some text."}); err != nil {
+		if err := s.LogDocuments([]ir.Document{ir.Document{URL: "u", Text: "Some text."}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func TestTruncatedSnapshotFallsBack(t *testing.T) {
 	}
 	// The WAL still covers everything past the fallback: replay closes
 	// the gap the corrupt snapshot left.
-	n, err := s.Replay(state.WALSeq, ReplayHandlers{Document: func(ir.Document) error { return nil }})
+	n, err := s.Replay(state.WALSeq, ReplayHandlers{Documents: func([]ir.Document) error { return nil }})
 	if err != nil || n != 2 {
 		t.Fatalf("gap replay: n=%d err=%v", n, err)
 	}
@@ -117,11 +117,11 @@ func TestFallbackRefusesToLoseAckedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.LogDocument(ir.Document{URL: "u1", Text: "First text."}); err != nil {
+	if err := s.LogDocuments([]ir.Document{ir.Document{URL: "u1", Text: "First text."}}); err != nil {
 		t.Fatal(err)
 	}
 	writeTestSnapshot(t, s, 1) // stale: keeps the WAL
-	if err := s.LogDocument(ir.Document{URL: "u2", Text: "Second text."}); err != nil {
+	if err := s.LogDocuments([]ir.Document{ir.Document{URL: "u2", Text: "Second text."}}); err != nil {
 		t.Fatal(err)
 	}
 	state := buildTestState(t)
@@ -235,10 +235,10 @@ func TestTornWALFinalRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LogDocument(ir.Document{URL: "u1", Text: "First document text."}); err != nil {
+	if err := s.LogDocuments([]ir.Document{ir.Document{URL: "u1", Text: "First document text."}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LogDocument(ir.Document{URL: "u2", Text: "Second document text."}); err != nil {
+	if err := s.LogDocuments([]ir.Document{ir.Document{URL: "u2", Text: "Second document text."}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -269,18 +269,18 @@ func TestTornWALFinalRecord(t *testing.T) {
 		t.Fatalf("seq after repair = %d, want 1", s2.Seq())
 	}
 	var urls []string
-	n, err := s2.Replay(0, ReplayHandlers{Document: func(d ir.Document) error { urls = append(urls, d.URL); return nil }})
+	n, err := s2.Replay(0, replayURLs(&urls))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 || len(urls) != 1 || urls[0] != "u1" {
 		t.Fatalf("replay after repair: n=%d urls=%v", n, urls)
 	}
-	if err := s2.LogDocument(ir.Document{URL: "u3", Text: "Third document text."}); err != nil {
+	if err := s2.LogDocuments([]ir.Document{ir.Document{URL: "u3", Text: "Third document text."}}); err != nil {
 		t.Fatal(err)
 	}
 	urls = nil
-	if _, err := s2.Replay(0, ReplayHandlers{Document: func(d ir.Document) error { urls = append(urls, d.URL); return nil }}); err != nil {
+	if _, err := s2.Replay(0, replayURLs(&urls)); err != nil {
 		t.Fatal(err)
 	}
 	if len(urls) != 2 || urls[1] != "u3" {
@@ -294,7 +294,7 @@ func TestWALGarbageMidFileTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LogMembers([]dw.MemberSpec{{Dim: "City", Level: "Country", Name: "Spain"}}); err != nil {
+	if err := s.LogBatch([]dw.MemberSpec{{Dim: "City", Level: "Country", Name: "Spain"}}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -315,7 +315,7 @@ func TestWALGarbageMidFileTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	n, err := s2.Replay(0, ReplayHandlers{Members: func([]dw.MemberSpec) error { return nil }})
+	n, err := s2.Replay(0, ReplayHandlers{Batch: func([]dw.MemberSpec, string, []dw.FactRow) error { return nil }})
 	if err != nil || n != 1 {
 		t.Fatalf("replay: n=%d err=%v", n, err)
 	}
@@ -354,7 +354,7 @@ func TestReplayAfterStaleSnapshotSkipsCoveredRecords(t *testing.T) {
 	}
 	defer s.Close()
 	for i, url := range []string{"u1", "u2", "u3"} {
-		if err := s.LogDocument(ir.Document{URL: url, Text: "Document number " + string(rune('1'+i)) + " text."}); err != nil {
+		if err := s.LogDocuments([]ir.Document{ir.Document{URL: url, Text: "Document number " + string(rune('1'+i)) + " text."}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -368,7 +368,7 @@ func TestReplayAfterStaleSnapshotSkipsCoveredRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	var urls []string
-	n, err := s.Replay(loaded.WALSeq, ReplayHandlers{Document: func(d ir.Document) error { urls = append(urls, d.URL); return nil }})
+	n, err := s.Replay(loaded.WALSeq, replayURLs(&urls))
 	if err != nil {
 		t.Fatal(err)
 	}

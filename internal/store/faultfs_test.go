@@ -40,7 +40,7 @@ func TestFaultWALSyncFailure(t *testing.T) {
 	s, ffs := openFaultStore(t)
 	ffs.Arm(Fault{Op: OpSync, Nth: 1})
 
-	err := s.LogFactRows("Weather", []dw.FactRow{testRow("2004-01-01")})
+	err := s.LogBatch(nil, "Weather", []dw.FactRow{testRow("2004-01-01")})
 	if !errors.Is(err, ErrWAL) {
 		t.Fatalf("err = %v, want ErrWAL", err)
 	}
@@ -55,7 +55,7 @@ func TestFaultWALSyncFailure(t *testing.T) {
 	}
 
 	ffs.Disarm()
-	if err := s.LogFactRows("Weather", []dw.FactRow{testRow("2004-01-02")}); err != nil {
+	if err := s.LogBatch(nil, "Weather", []dw.FactRow{testRow("2004-01-02")}); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
 	if s.Seq() != 1 {
@@ -64,7 +64,7 @@ func TestFaultWALSyncFailure(t *testing.T) {
 
 	// Replay sees exactly the acked record.
 	var got []string
-	_, err = s.Replay(0, ReplayHandlers{FactRows: func(fact string, rows []dw.FactRow) error {
+	_, err = s.Replay(0, ReplayHandlers{Batch: func(_ []dw.MemberSpec, fact string, rows []dw.FactRow) error {
 		for _, r := range rows {
 			got = append(got, r.Coords["Date"])
 		}
@@ -84,14 +84,14 @@ func TestFaultWALShortWrite(t *testing.T) {
 	s, ffs := openFaultStore(t)
 	ffs.Arm(Fault{Op: OpWrite, Nth: 1, Short: 5})
 
-	if err := s.LogFactRows("Weather", []dw.FactRow{testRow("2004-01-01")}); !errors.Is(err, ErrWAL) {
+	if err := s.LogBatch(nil, "Weather", []dw.FactRow{testRow("2004-01-01")}); !errors.Is(err, ErrWAL) {
 		t.Fatalf("err = %v, want ErrWAL", err)
 	}
 	ffs.Disarm()
-	if err := s.LogFactRows("Weather", []dw.FactRow{testRow("2004-01-02")}); err != nil {
+	if err := s.LogBatch(nil, "Weather", []dw.FactRow{testRow("2004-01-02")}); err != nil {
 		t.Fatal(err)
 	}
-	applied, err := s.Replay(0, ReplayHandlers{FactRows: func(string, []dw.FactRow) error { return nil }})
+	applied, err := s.Replay(0, ReplayHandlers{Batch: func([]dw.MemberSpec, string, []dw.FactRow) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,20 +110,20 @@ func TestFaultWALShortWritePoisonedHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LogFactRows("Weather", []dw.FactRow{testRow("2004-01-01")}); err != nil {
+	if err := s.LogBatch(nil, "Weather", []dw.FactRow{testRow("2004-01-01")}); err != nil {
 		t.Fatal(err)
 	}
 	ffs.Arm(
 		Fault{Op: OpWrite, Nth: 1, Short: 3},
 		Fault{Op: OpTruncate, Nth: 1},
 	)
-	if err := s.LogFactRows("Weather", []dw.FactRow{testRow("2004-01-02")}); !errors.Is(err, ErrWAL) {
+	if err := s.LogBatch(nil, "Weather", []dw.FactRow{testRow("2004-01-02")}); !errors.Is(err, ErrWAL) {
 		t.Fatalf("err = %v, want ErrWAL", err)
 	}
 	// The handle is poisoned: even with the disk healthy again, appends
 	// refuse rather than land after unknown bytes.
 	ffs.Disarm()
-	if err := s.LogFactRows("Weather", []dw.FactRow{testRow("2004-01-03")}); !errors.Is(err, ErrWAL) {
+	if err := s.LogBatch(nil, "Weather", []dw.FactRow{testRow("2004-01-03")}); !errors.Is(err, ErrWAL) {
 		t.Fatalf("append on poisoned handle = %v, want ErrWAL", err)
 	}
 	s.Close()
@@ -137,14 +137,14 @@ func TestFaultWALShortWritePoisonedHandle(t *testing.T) {
 	if s2.WALRepaired() == 0 {
 		t.Error("reopen should have repaired the torn tail")
 	}
-	applied, err := s2.Replay(0, ReplayHandlers{FactRows: func(string, []dw.FactRow) error { return nil }})
+	applied, err := s2.Replay(0, ReplayHandlers{Batch: func([]dw.MemberSpec, string, []dw.FactRow) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if applied != 1 {
 		t.Errorf("replayed %d records, want 1 (the acked one)", applied)
 	}
-	if err := s2.LogFactRows("Weather", []dw.FactRow{testRow("2004-01-04")}); err != nil {
+	if err := s2.LogBatch(nil, "Weather", []dw.FactRow{testRow("2004-01-04")}); err != nil {
 		t.Fatalf("append after repair: %v", err)
 	}
 }
@@ -189,7 +189,7 @@ func TestFaultDelayOnly(t *testing.T) {
 	s, ffs := openFaultStore(t)
 	ffs.Arm(Fault{Op: OpSync, Nth: 1, Delay: 10 * time.Millisecond})
 	start := time.Now()
-	if err := s.LogFactRows("Weather", []dw.FactRow{testRow("2004-01-01")}); err != nil {
+	if err := s.LogBatch(nil, "Weather", []dw.FactRow{testRow("2004-01-01")}); err != nil {
 		t.Fatalf("delay-only fault must not fail the append: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {

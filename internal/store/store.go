@@ -9,9 +9,10 @@
 //     atomically (temp file + rename), checksummed and versioned
 //     (snapshot.go). The newest valid snapshot wins; a corrupt one is
 //     skipped in favour of its predecessor.
-//   - Write-ahead log: every committed feed batch (dw member/fact-row
-//     batches, indexed IR documents) is appended as a checksummed record
-//     with a strictly increasing sequence number (wal.go). The store
+//   - Write-ahead log: every committed batch — a dw.Warehouse.AddBatch
+//     transaction or an ir.Index.AddBatch document batch, the one write
+//     of each layer — is appended as a checksummed record with a
+//     strictly increasing sequence number (wal.go). The store
 //     implements dw.Journal and ir.Journal, so attaching it to a
 //     warehouse and an index journals every commit automatically.
 //
@@ -175,33 +176,17 @@ func (s *Store) Close() error {
 
 // --- journal (the write path) ---
 
-// LogMembers implements dw.Journal: one WAL record per committed member
-// batch.
-func (s *Store) LogMembers(specs []dw.MemberSpec) error {
-	return s.appendRecord(recMembers, encodeMemberSpecs(specs))
-}
-
-// LogFactRows implements dw.Journal: one WAL record per validated fact
-// batch.
-func (s *Store) LogFactRows(fact string, rows []dw.FactRow) error {
-	return s.appendRecord(recFactRows, encodeFactRows(fact, rows))
-}
-
-// LogBatch implements dw.Journal: one WAL record per combined
+// LogBatch implements dw.Journal: one recBatch record per combined
 // member+fact-row transaction (dw.AddBatch), so replay re-applies the
 // members and their rows as the unit they were committed as.
 func (s *Store) LogBatch(specs []dw.MemberSpec, fact string, rows []dw.FactRow) error {
 	return s.appendRecord(recBatch, encodeBatch(specs, fact, rows))
 }
 
-// LogDocument implements ir.Journal: one WAL record per indexed document.
-func (s *Store) LogDocument(doc ir.Document) error {
-	return s.appendRecord(recDocument, encodeDocument(doc))
-}
-
-// LogDocuments implements ir.Journal: one WAL record (one fsync) per
-// indexed document batch — the record that makes streaming ingestion
-// feasible, where fsync-per-document would dominate the load.
+// LogDocuments implements ir.Journal: one recDocuments record (one
+// fsync) per indexed document batch (ir.Index.AddBatch) — the record
+// that makes streaming ingestion feasible, where fsync-per-document
+// would dominate the load.
 func (s *Store) LogDocuments(docs []ir.Document) error {
 	return s.appendRecord(recDocuments, encodeDocuments(docs))
 }
@@ -353,11 +338,13 @@ func (s *Store) walCovers(afterSeq, throughSeq uint64) error {
 // --- replay (the recovery path) ---
 
 // ReplayHandlers applies decoded WAL records to live structures during
-// recovery. Each handler mirrors the call that produced the record.
+// recovery and replica tailing. Each handler is the one write that
+// produced its record kind — dw.Warehouse.AddBatch for recBatch,
+// ir.Index.AddBatch for recDocuments — so a replayed batch goes through
+// the same validation and lands as the same single atomic commit.
 type ReplayHandlers struct {
-	Members  func(specs []dw.MemberSpec) error
-	FactRows func(fact string, rows []dw.FactRow) error
-	Document func(doc ir.Document) error
+	Batch     func(specs []dw.MemberSpec, fact string, rows []dw.FactRow) error
+	Documents func(docs []ir.Document) error
 }
 
 // Replay applies every WAL record with seq > afterSeq, in order, and
@@ -407,76 +394,27 @@ func (s *Store) Replay(afterSeq uint64, h ReplayHandlers) (int, error) {
 // follower tail (TailWAL).
 func applyRecord(rec walRecord, h ReplayHandlers) error {
 	switch rec.kind {
-	case recMembers:
-		specs, err := decodeMemberSpecs(rec.payload)
-		if err != nil {
-			return fmt.Errorf("store: WAL record %d: %w", rec.seq, err)
-		}
-		if h.Members == nil {
-			return fmt.Errorf("store: WAL record %d: no member handler", rec.seq)
-		}
-		if err := h.Members(specs); err != nil {
-			return fmt.Errorf("store: replaying member batch (record %d): %w", rec.seq, err)
-		}
-	case recFactRows:
-		fact, rows, err := decodeFactRows(rec.payload)
-		if err != nil {
-			return fmt.Errorf("store: WAL record %d: %w", rec.seq, err)
-		}
-		if h.FactRows == nil {
-			return fmt.Errorf("store: WAL record %d: no fact-row handler", rec.seq)
-		}
-		if err := h.FactRows(fact, rows); err != nil {
-			return fmt.Errorf("store: replaying fact batch (record %d): %w", rec.seq, err)
-		}
 	case recBatch:
 		specs, fact, rows, err := decodeBatch(rec.payload)
 		if err != nil {
 			return fmt.Errorf("store: WAL record %d: %w", rec.seq, err)
 		}
-		// Replay through the members/fact-rows handlers in commit
-		// order. Replay is single-threaded and a handler error aborts
-		// recovery loudly, so the transaction's atomicity cannot be
-		// half-observed by a live reader.
-		if len(specs) > 0 {
-			if h.Members == nil {
-				return fmt.Errorf("store: WAL record %d: no member handler", rec.seq)
-			}
-			if err := h.Members(specs); err != nil {
-				return fmt.Errorf("store: replaying batch members (record %d): %w", rec.seq, err)
-			}
+		if h.Batch == nil {
+			return fmt.Errorf("store: WAL record %d: no batch handler", rec.seq)
 		}
-		if len(rows) > 0 {
-			if h.FactRows == nil {
-				return fmt.Errorf("store: WAL record %d: no fact-row handler", rec.seq)
-			}
-			if err := h.FactRows(fact, rows); err != nil {
-				return fmt.Errorf("store: replaying batch rows (record %d): %w", rec.seq, err)
-			}
-		}
-	case recDocument:
-		doc, err := decodeDocument(rec.payload)
-		if err != nil {
-			return fmt.Errorf("store: WAL record %d: %w", rec.seq, err)
-		}
-		if h.Document == nil {
-			return fmt.Errorf("store: WAL record %d: no document handler", rec.seq)
-		}
-		if err := h.Document(doc); err != nil {
-			return fmt.Errorf("store: replaying document (record %d): %w", rec.seq, err)
+		if err := h.Batch(specs, fact, rows); err != nil {
+			return fmt.Errorf("store: replaying batch (record %d): %w", rec.seq, err)
 		}
 	case recDocuments:
 		docs, err := decodeDocuments(rec.payload)
 		if err != nil {
 			return fmt.Errorf("store: WAL record %d: %w", rec.seq, err)
 		}
-		if h.Document == nil {
+		if h.Documents == nil {
 			return fmt.Errorf("store: WAL record %d: no document handler", rec.seq)
 		}
-		for _, doc := range docs {
-			if err := h.Document(doc); err != nil {
-				return fmt.Errorf("store: replaying document batch (record %d): %w", rec.seq, err)
-			}
+		if err := h.Documents(docs); err != nil {
+			return fmt.Errorf("store: replaying document batch (record %d): %w", rec.seq, err)
 		}
 	default:
 		return fmt.Errorf("store: WAL record %d has unknown type %d", rec.seq, rec.kind)

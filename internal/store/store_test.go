@@ -36,7 +36,7 @@ func testSchema() *mdm.Schema {
 			{Role: "Date", Dimension: "Date"},
 		},
 	}
-	return mdm.NewSchema("store-test").AddDimension(city).AddDimension(date).AddFact(weather)
+	return mdm.NewSchema("store-test").AddDimension(city).AddDimension(date).AddFactClass(weather)
 }
 
 // buildTestState assembles a populated State: warehouse rows with
@@ -48,15 +48,12 @@ func buildTestState(t *testing.T) *State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wh.AddMembers([]dw.MemberSpec{
+	if err := wh.AddBatch([]dw.MemberSpec{
 		{Dim: "City", Level: "Country", Name: "Spain"},
 		{Dim: "City", Level: "City", Name: "Barcelona", Parent: "Spain", Attrs: map[string]string{"IATA": "BCN"}},
 		{Dim: "Date", Level: "Month", Name: "2004-01"},
 		{Dim: "Date", Level: "Day", Name: "2004-01-01", Parent: "2004-01"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wh.AddFactRows("Weather", []dw.FactRow{
+	}, "Weather", []dw.FactRow{
 		{Coords: map[string]string{"City": "Barcelona", "Date": "2004-01-01"},
 			Measures: map[string]float64{"TempC": 13.5}, Provenance: "http://w/bcn"},
 	}); err != nil {
@@ -64,7 +61,7 @@ func buildTestState(t *testing.T) *State {
 	}
 
 	ix := ir.NewIndex(ir.WithPassageSize(3), ir.WithStride(1))
-	if err := ix.AddAll([]ir.Document{
+	if err := ix.AddBatch([]ir.Document{
 		{URL: "http://w/bcn", Text: "Barcelona is mild in January. Temperatures reach 13 degrees. Rain is rare. The beach stays open."},
 		{URL: "http://w/mad", Text: "Madrid is cold in January. Temperatures drop to 2 degrees. Snow falls on the sierra."},
 	}); err != nil {
@@ -164,6 +161,17 @@ func TestSnapshotFileRoundTripAndPrune(t *testing.T) {
 	}
 }
 
+// replayURLs is a handler set that records the URL of every replayed
+// document, in replay order.
+func replayURLs(urls *[]string) ReplayHandlers {
+	return ReplayHandlers{Documents: func(docs []ir.Document) error {
+		for _, d := range docs {
+			*urls = append(*urls, d.URL)
+		}
+		return nil
+	}}
+}
+
 func TestWALAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -179,15 +187,18 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 		{Coords: map[string]string{"City": "Barcelona", "Date": "2004-01-01"},
 			Measures: map[string]float64{"TempC": 13.5}, Provenance: "http://w/bcn"},
 	}
-	doc := ir.Document{URL: "http://w/bcn", Text: "Barcelona is mild."}
+	docs := []ir.Document{
+		{URL: "http://w/bcn", Text: "Barcelona is mild."},
+		{URL: "http://w/mad", Text: "Madrid is cold.", Ord: 7},
+	}
 
-	if err := s.LogMembers(members); err != nil {
+	if err := s.LogBatch(members, "Weather", rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LogFactRows("Weather", rows); err != nil {
+	if err := s.LogDocuments(docs[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LogDocument(doc); err != nil {
+	if err := s.LogDocuments(docs[1:]); err != nil {
 		t.Fatal(err)
 	}
 	if s.Seq() != 3 {
@@ -211,9 +222,11 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	var gotRows []dw.FactRow
 	var gotDocs []ir.Document
 	n, err := s2.Replay(0, ReplayHandlers{
-		Members:  func(specs []dw.MemberSpec) error { gotMembers = specs; return nil },
-		FactRows: func(fact string, rs []dw.FactRow) error { gotFact, gotRows = fact, rs; return nil },
-		Document: func(d ir.Document) error { gotDocs = append(gotDocs, d); return nil },
+		Batch: func(specs []dw.MemberSpec, fact string, rs []dw.FactRow) error {
+			gotMembers, gotFact, gotRows = specs, fact, rs
+			return nil
+		},
+		Documents: func(ds []ir.Document) error { gotDocs = append(gotDocs, ds...); return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,26 +235,24 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d records, want 3", n)
 	}
 	if !reflect.DeepEqual(gotMembers, members) {
-		t.Fatalf("member batch diverges:\n got %+v\nwant %+v", gotMembers, members)
+		t.Fatalf("batch members diverge:\n got %+v\nwant %+v", gotMembers, members)
 	}
 	if gotFact != "Weather" || !reflect.DeepEqual(gotRows, rows) {
-		t.Fatalf("fact batch diverges:\n got %s %+v\nwant Weather %+v", gotFact, gotRows, rows)
+		t.Fatalf("batch rows diverge:\n got %s %+v\nwant Weather %+v", gotFact, gotRows, rows)
 	}
-	if !reflect.DeepEqual(gotDocs, []ir.Document{doc}) {
-		t.Fatalf("documents diverge: %+v", gotDocs)
+	if !reflect.DeepEqual(gotDocs, docs) {
+		t.Fatalf("documents diverge (ordinals included): %+v", gotDocs)
 	}
 
 	// Sequence gating: replaying after seq 2 applies only the tail.
-	n, err = s2.Replay(2, ReplayHandlers{
-		Members:  func([]dw.MemberSpec) error { t.Fatal("members re-applied"); return nil },
-		FactRows: func(string, []dw.FactRow) error { t.Fatal("rows re-applied"); return nil },
-		Document: func(ir.Document) error { return nil },
-	})
-	if err != nil {
+	var urls []string
+	h := replayURLs(&urls)
+	h.Batch = func([]dw.MemberSpec, string, []dw.FactRow) error { t.Fatal("batch re-applied"); return nil }
+	if n, err = s2.Replay(2, h); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("gated replay applied %d records, want 1", n)
+	if n != 1 || !reflect.DeepEqual(urls, []string{"http://w/mad"}) {
+		t.Fatalf("gated replay applied %d records (%v), want only the last", n, urls)
 	}
 	// Gating at the current head applies nothing.
 	if n, err := s2.Replay(3, ReplayHandlers{}); err != nil || n != 0 {
@@ -256,7 +267,7 @@ func TestSnapshotResetsWALOnlyWhenCovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.LogDocument(ir.Document{URL: "u1", Text: "One sentence."}); err != nil {
+	if err := s.LogDocuments([]ir.Document{ir.Document{URL: "u1", Text: "One sentence."}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -273,7 +284,7 @@ func TestSnapshotResetsWALOnlyWhenCovered(t *testing.T) {
 	if data, _ := os.ReadFile(filepath.Join(dir, walName)); len(data) != 0 {
 		t.Fatalf("WAL not empty after reset: %d bytes", len(data))
 	}
-	if err := s.LogDocument(ir.Document{URL: "u2", Text: "Two sentences. Here now."}); err != nil {
+	if err := s.LogDocuments([]ir.Document{ir.Document{URL: "u2", Text: "Two sentences. Here now."}}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Seq() != 2 {
@@ -290,7 +301,7 @@ func TestSnapshotResetsWALOnlyWhenCovered(t *testing.T) {
 	if info.WALReset {
 		t.Fatal("stale snapshot reset a WAL holding newer records")
 	}
-	n, err := s.Replay(1, ReplayHandlers{Document: func(ir.Document) error { return nil }})
+	n, err := s.Replay(1, ReplayHandlers{Documents: func([]ir.Document) error { return nil }})
 	if err != nil || n != 1 {
 		t.Fatalf("tail record lost: n=%d err=%v", n, err)
 	}
@@ -308,7 +319,7 @@ func TestSeqFloorSurvivesWALReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.LogDocument(ir.Document{URL: "u", Text: "Some text."}); err != nil {
+		if err := s.LogDocuments([]ir.Document{ir.Document{URL: "u", Text: "Some text."}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,10 +341,10 @@ func TestSeqFloorSurvivesWALReset(t *testing.T) {
 		t.Fatalf("reopened seq floor = %d, want 3 (from the snapshot filename)", s2.Seq())
 	}
 	// A record appended now must be strictly above the snapshot's gate.
-	if err := s2.LogDocument(ir.Document{URL: "u4", Text: "Fresh text."}); err != nil {
+	if err := s2.LogDocuments([]ir.Document{ir.Document{URL: "u4", Text: "Fresh text."}}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := s2.Replay(3, ReplayHandlers{Document: func(ir.Document) error { return nil }})
+	n, err := s2.Replay(3, ReplayHandlers{Documents: func([]ir.Document) error { return nil }})
 	if err != nil || n != 1 {
 		t.Fatalf("fresh record gated away: n=%d err=%v", n, err)
 	}

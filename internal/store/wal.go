@@ -13,10 +13,10 @@ import (
 	"dwqa/internal/obs"
 )
 
-// WAL record layout (append-only, one record per committed feed batch):
+// WAL record layout (append-only, one record per committed batch):
 //
 //	seq     uvarint   strictly increasing across the store's lifetime
-//	type    byte      recMembers | recFactRows | recDocument
+//	type    byte      recBatch | recDocuments
 //	len     uvarint   payload length in bytes
 //	payload bytes
 //	crc32c  4 bytes LE   checksum of seq+type+len+payload
@@ -26,10 +26,11 @@ import (
 // torn tail never poisons recovery and the next append continues from the
 // repaired end.
 
+// Each layer has one write, so the log has one record kind per layer.
+// Kinds 1-3 (a member batch, a fact-row batch and a single document) are
+// retired: nothing writes them, replay rejects them as unknown, and their
+// numbers are never reused.
 const (
-	recMembers  byte = 1
-	recFactRows byte = 2
-	recDocument byte = 3
 	// recBatch is one combined warehouse transaction (dw.AddBatch): a
 	// member batch plus the fact rows that depend on it, committed — and
 	// therefore replayed — as a unit, so a crash can never resurrect the
@@ -315,12 +316,10 @@ func decodeBatch(payload []byte) ([]dw.MemberSpec, string, []dw.FactRow, error) 
 	return specs, fact, rows, nil
 }
 
-// Document records carry the global ordinal (ir.Document.Ord) as a
-// trailing extension: the batch record appends one varint per document
-// after the (URL, text) pairs, the single-document record appends one
-// varint after the text. Decoders read the extension only when bytes
-// remain, so records written before the ordinal existed decode with
-// every ordinal zero — exactly the value unsharded deployments use.
+// encodeDocuments frames a document batch: the (URL, text) pairs, then
+// one varint per document carrying its global ordinal (ir.Document.Ord;
+// zero in unsharded deployments). The ordinal block is mandatory: a
+// payload that ends after the pairs fails to decode.
 func encodeDocuments(docs []ir.Document) []byte {
 	w := &writer{}
 	w.uvarint(uint64(len(docs)))
@@ -341,33 +340,11 @@ func decodeDocuments(payload []byte) ([]ir.Document, error) {
 	for i := 0; i < n && r.err == nil; i++ {
 		docs = append(docs, ir.Document{URL: r.str(), Text: r.str()})
 	}
-	if r.err == nil && r.remaining() > 0 {
-		for i := range docs {
-			docs[i].Ord = r.varint()
-		}
+	for i := 0; i < len(docs) && r.err == nil; i++ {
+		docs[i].Ord = r.varint()
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
 	return docs, nil
-}
-
-func encodeDocument(doc ir.Document) []byte {
-	w := &writer{}
-	w.str(doc.URL)
-	w.str(doc.Text)
-	w.varint(doc.Ord)
-	return w.buf
-}
-
-func decodeDocument(payload []byte) (ir.Document, error) {
-	r := &reader{buf: payload}
-	doc := ir.Document{URL: r.str(), Text: r.str()}
-	if r.err == nil && r.remaining() > 0 {
-		doc.Ord = r.varint()
-	}
-	if r.err != nil {
-		return ir.Document{}, r.err
-	}
-	return doc, nil
 }

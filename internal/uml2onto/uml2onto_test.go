@@ -25,7 +25,7 @@ func schema() *mdm.Schema {
 				{Name: "Month", Descriptor: "Name"},
 			},
 		}).
-		AddFact(&mdm.FactClass{
+		AddFactClass(&mdm.FactClass{
 			Name: "Last Minute Sales",
 			Measures: []mdm.Measure{
 				{Name: "Price", Type: mdm.TypeFloat},
@@ -112,7 +112,7 @@ func TestTransformAttributes(t *testing.T) {
 }
 
 func TestTransformRejectsInvalidSchema(t *testing.T) {
-	bad := mdm.NewSchema("bad").AddFact(&mdm.FactClass{Name: "F"})
+	bad := mdm.NewSchema("bad").AddFactClass(&mdm.FactClass{Name: "F"})
 	if _, err := Transform(bad); err == nil {
 		t.Error("invalid schema accepted")
 	}
