@@ -12,11 +12,12 @@ import (
 )
 
 // Micro-benchmarks of what the serving benchmark in bench/ cannot
-// isolate: each fast engine against its retained reference, and index
-// residency at a corpus size bench/ does not seed. Every arm is checked
-// for equality with its reference before anything is timed.
+// isolate: the compiled OLAP engine against its retained reference
+// (checked for equality before anything is timed), and index residency
+// at a corpus size bench/ does not seed. The sparse-vs-dense retrieval
+// benchmarks live with the IR oracle in internal/ir (scaled_test.go).
 //
-//	go test -run '^$' -bench 'OLAPExecute|IRSearch' -benchmem ./internal/core
+//	go test -run '^$' -bench OLAPExecute -benchmem ./internal/core
 //	DWQA_BENCH_1M=1 go test -run '^$' -bench Footprint1M -benchtime 1x ./internal/core
 
 // benchOLAPExecute times the compiled columnar engine against the
@@ -60,37 +61,6 @@ func benchOLAPExecute(b *testing.B, targetRows int) {
 func BenchmarkOLAPExecute1k(b *testing.B)   { benchOLAPExecute(b, 1_000) }
 func BenchmarkOLAPExecute10k(b *testing.B)  { benchOLAPExecute(b, 10_000) }
 func BenchmarkOLAPExecute100k(b *testing.B) { benchOLAPExecute(b, 100_000) }
-
-// benchIRSearch times the sparse passage scorer against the dense
-// SearchReference over a generated corpus, cycling the per-city
-// [city, month] queries question analysis sends to IR-n.
-func benchIRSearch(b *testing.B, targetPassages int) {
-	sc, err := BuildScaledCorpus(targetPassages, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := VerifyScaledIR(sc, 10); err != nil {
-		b.Fatal(err)
-	}
-	queries := sc.Queries()
-	b.Logf("passages: %d, cities: %d, terms: %d", sc.Index.PassageCount(), len(sc.Cities), sc.Index.TermCount())
-	b.Run("sparse", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; b.Loop(); i++ {
-			sc.Index.Search(queries[i%len(queries)], 10)
-		}
-	})
-	b.Run("dense", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; b.Loop(); i++ {
-			sc.Index.SearchReference(queries[i%len(queries)], 10)
-		}
-	})
-}
-
-func BenchmarkIRSearch1k(b *testing.B)   { benchIRSearch(b, 1_000) }
-func BenchmarkIRSearch10k(b *testing.B)  { benchIRSearch(b, 10_000) }
-func BenchmarkIRSearch100k(b *testing.B) { benchIRSearch(b, 100_000) }
 
 // BenchmarkFootprint1M is the gated large-corpus tier: snapshot restore
 // of a 1M-passage index, then resident memory with one restored state

@@ -115,30 +115,3 @@ func (sc *ScaledCorpus) Queries() [][]string {
 	}
 	return out
 }
-
-// VerifyScaledIR asserts the sparse scorer and the retained dense
-// reference rank every workload query byte-identically at top-k — the
-// equivalence gate BenchmarkIRSearch runs before timing anything.
-func VerifyScaledIR(sc *ScaledCorpus, k int) error {
-	for _, terms := range sc.Queries() {
-		sparse := sc.Index.Search(terms, k)
-		dense := sc.Index.SearchReference(terms, k)
-		if len(sparse) == 0 {
-			return fmt.Errorf("core: query %v returned no passages", terms)
-		}
-		if len(sparse) != len(dense) {
-			return fmt.Errorf("core: query %v: sparse returned %d passages, dense %d",
-				terms, len(sparse), len(dense))
-		}
-		for i := range sparse {
-			s, d := sparse[i], dense[i]
-			if s.DocURL != d.DocURL || s.SentStart != d.SentStart ||
-				s.SentEnd != d.SentEnd || s.Score != d.Score || s.Text != d.Text {
-				return fmt.Errorf("core: query %v rank %d diverges: sparse %s[%d:%d] %.17g, dense %s[%d:%d] %.17g",
-					terms, i, s.DocURL, s.SentStart, s.SentEnd, s.Score,
-					d.DocURL, d.SentStart, d.SentEnd, d.Score)
-			}
-		}
-	}
-	return nil
-}

@@ -3,8 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"dwqa/internal/ir"
 )
 
 func TestBuildScaledCorpus(t *testing.T) {
@@ -57,11 +55,6 @@ func TestBuildScaledCorpus(t *testing.T) {
 			t.Errorf("query %d lacks the month term: %v", i, q)
 		}
 	}
-
-	// Sparse and dense must agree before anything is benchmarked.
-	if err := VerifyScaledIR(sc, 10); err != nil {
-		t.Fatalf("VerifyScaledIR: %v", err)
-	}
 }
 
 func TestBuildScaledCorpusTinyTarget(t *testing.T) {
@@ -71,13 +64,5 @@ func TestBuildScaledCorpusTinyTarget(t *testing.T) {
 	}
 	if sc.Index.PassageCount() < 1 || sc.Pages != 1 {
 		t.Errorf("tiny corpus: passages=%d pages=%d", sc.Index.PassageCount(), sc.Pages)
-	}
-}
-
-func TestScaledIRErrorPaths(t *testing.T) {
-	// Verification over an empty index reports the missing passages.
-	empty := &ScaledCorpus{Index: ir.NewIndex(), Cities: []string{"Alderford"}}
-	if err := VerifyScaledIR(empty, 5); err == nil {
-		t.Error("VerifyScaledIR accepted an empty index")
 	}
 }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -120,6 +121,75 @@ func TestSparseDenseEquivalenceAcrossGrowth(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameRanking(t, ix, []string{"storm", "harbor", "temperature"}, 4)
+	}
+}
+
+// TestTFWeightBitwise: the tf-weight table and its above-table arm
+// return exactly the bits of the literal expression the reference oracle
+// evaluates, so the kernel cannot move a score by one ulp.
+func TestTFWeightBitwise(t *testing.T) {
+	tfs := []int32{64, 65, 1000, math.MaxInt32}
+	for tf := int32(0); tf < tfTableSize; tf++ {
+		tfs = append(tfs, tf)
+	}
+	for _, tf := range tfs {
+		if got, want := math.Float64bits(tfWeight(tf)), math.Float64bits(1+math.Log(float64(tf))); got != want {
+			t.Errorf("tfWeight(%d) bits %#x, want %#x", tf, got, want)
+		}
+	}
+}
+
+// TestSparseDenseEquivalenceAboveTable ranks passages and documents whose
+// term frequencies run past the tf-weight table, so the kernel's computed
+// arm is proven against the reference oracles as well as the table.
+func TestSparseDenseEquivalenceAboveTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	ix := NewIndex(WithPassageSize(2), WithStride(1))
+	docs := []Document{
+		{URL: "http://t.example/0", Text: strings.Repeat("storm ", 70) + "harbor. " + randomSentence(rng)},
+		{URL: "http://t.example/1", Text: strings.Repeat("storm harbor ", 40) + "market. " + strings.Repeat("storm ", 90) + "river."},
+	}
+	for d := 2; d < 8; d++ {
+		docs = append(docs, Document{URL: fmt.Sprintf("http://t.example/%d", d), Text: randomSentence(rng) + " " + randomSentence(rng)})
+	}
+	if err := ix.AddBatch(docs); err != nil {
+		t.Fatal(err)
+	}
+	maxTF := int32(0)
+	for c := ix.postings[ix.terms["storm"]].cursor(); ; {
+		_, tf, ok := c.next()
+		if !ok {
+			break
+		}
+		maxTF = max(maxTF, tf)
+	}
+	if maxTF < 2*tfTableSize {
+		t.Fatalf("largest storm tf is %d: the corpus no longer reaches past the table", maxTF)
+	}
+	for _, terms := range [][]string{{"storm"}, {"storm", "harbor"}, {"harbor", "storm", "river"}, {"market"}} {
+		assertSameRanking(t, ix, terms, 3)
+		assertSameRanking(t, ix, terms, ix.PassageCount())
+	}
+	for q := 0; q < 20; q++ {
+		assertSameRanking(t, ix, randomQuery(rng), 1+rng.Intn(ix.PassageCount()))
+	}
+}
+
+// TestSearchIsSearchWeightedWithLocalStats: Search equals SearchWeighted
+// under the idf GlobalIDF derives from the index's own TermStats — the
+// property a one-shard federation relies on — on random corpora.
+func TestSearchIsSearchWeightedWithLocalStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 40; trial++ {
+		ix := randomIndex(t, rng)
+		for q := 0; q < 10; q++ {
+			terms := randomQuery(rng)
+			k := 1 + rng.Intn(ix.PassageCount()+3)
+			got := ix.SearchWeighted(terms, GlobalIDF(ix.TermStats(terms)), k)
+			if want := ix.Search(terms, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("terms %v k=%d:\nweighted: %s\nsearch:   %s", terms, k, rankingString(got), rankingString(want))
+			}
+		}
 	}
 }
 

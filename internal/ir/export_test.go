@@ -2,17 +2,20 @@ package ir
 
 import "math"
 
-// This file retains the dense scoring engines Search and SearchDocuments
-// used before the sparse accumulators: a fresh []float64 accumulator of
-// length len(index) per query, swept in full by selectTopK. They are the
-// correctness oracle the equivalence suite ranks against (byte-identical
-// output is asserted for every query shape, mirroring how
-// dw.ExecuteReference anchors the compiled OLAP engine) and the baseline
-// the IR scaling benchmarks measure — their per-query cost is O(index)
-// by construction, which is exactly the behaviour the sparse engine
-// removes. Term lookup shares the interned dictionary, and the weight
-// expression is written identically so float accumulation matches the
-// sparse engine bit for bit.
+// The dense reference engines, test-only. SearchReference and
+// SearchDocumentsReference are the scoring engines Search and
+// SearchDocuments used before the sparse accumulators: a fresh []float64
+// accumulator of length len(index) per query, swept in full by
+// selectTopK. They are the independent oracle the scoring kernel is
+// proven against (byte-identical output is asserted for every query
+// shape, mirroring how dw.ExecuteReference anchors the compiled OLAP
+// engine) and the baseline the IR scaling benchmarks measure — their
+// per-query cost is O(index) by construction, which is exactly the
+// behaviour the sparse engine removes. They write the IR-n weight out
+// literally, math.Log on every posting, rather than through tfWeight
+// and GlobalIDF, so a drift in the kernel cannot hide in a shared
+// helper. Being exported methods of package ir, they are visible to the
+// external ir_test package as well.
 
 // SearchReference is the dense O(index)-per-query oracle for Search.
 // Same contract: normalised terms in, ranking score desc then id asc.
@@ -88,4 +91,21 @@ func (ix *Index) SearchDocumentsReference(terms []string, k int) []DocResult {
 		})
 	}
 	return out
+}
+
+// selectTopK scans a dense score accumulator (index = id, zero = unscored)
+// and returns the ids of the k best scores, ranked. k is clamped to the
+// candidate count so a "return everything" request cannot reserve O(k)
+// memory up front.
+func selectTopK(scores []float64, k int) []int32 {
+	if k > len(scores) {
+		k = len(scores)
+	}
+	h := newTopK(k)
+	for id, s := range scores {
+		if s > 0 {
+			h.offer(int32(id), s)
+		}
+	}
+	return h.ranked()
 }

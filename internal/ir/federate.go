@@ -18,19 +18,27 @@ import "math"
 func (ix *Index) TermStats(terms []string) (nPass int, df []int) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	df = make([]int, len(terms))
+	return len(ix.passages), ix.dfLocked(ix.postings, terms)
+}
+
+// dfLocked returns, per term, the length of its posting list in lists
+// (0 for a term the index has never seen) — the document frequency over
+// the passage or the document store. Caller holds the read lock.
+func (ix *Index) dfLocked(lists []postingList, terms []string) []int {
+	df := make([]int, len(terms))
 	for i, term := range terms {
 		if id, ok := ix.terms[term]; ok {
-			df[i] = ix.postings[id].count()
+			df[i] = lists[id].count()
 		}
 	}
-	return len(ix.passages), df
+	return df
 }
 
 // GlobalIDF derives the idf weight vector for query terms from summed
-// corpus statistics, using the exact expression Search uses locally
-// (log(1 + N/df)), so a federated score is bitwise identical to the
-// single-index one. Terms absent from the whole corpus get weight 0.
+// corpus statistics: log(1 + N/df). Search and
+// SearchDocuments derive their own weights through this very function,
+// so a federated score is bitwise identical to the single-index one by
+// construction. Terms absent from the whole corpus get weight 0.
 func GlobalIDF(nPass int, df []int) []float64 {
 	idf := make([]float64, len(df))
 	for i, d := range df {
@@ -53,28 +61,5 @@ func (ix *Index) SearchWeighted(terms []string, idf []float64, k int) []Passage 
 	if len(ix.passages) == 0 || len(terms) == 0 || k <= 0 {
 		return nil
 	}
-	acc := getAcc(len(ix.passages))
-	defer putAcc(acc)
-	for i, term := range terms {
-		if i >= len(idf) || idf[i] == 0 {
-			continue
-		}
-		id, ok := ix.terms[term]
-		if !ok {
-			continue
-		}
-		for c := ix.postings[id].cursor(); ; {
-			pid, tf, ok := c.next()
-			if !ok {
-				break
-			}
-			acc.add(pid, (1+math.Log(float64(tf)))*idf[i])
-		}
-	}
-	ids := acc.rank(k)
-	out := make([]Passage, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, ix.materializeLocked(int(id), acc.scores[id]))
-	}
-	return out
+	return ix.searchWeightedLocked(terms, idf, k)
 }

@@ -14,16 +14,18 @@
 // Retrieval cost scales with the matched postings, not the index size:
 // terms are interned into a dense dictionary (lemma → int32 term id,
 // append-only — an id, once assigned, is never reused or remapped), the
-// posting lists are slices indexed by term id, and query scores
-// accumulate in pooled epoch-stamped sparse accumulators (sparse.go).
-// SearchReference / SearchDocumentsReference retain the previous dense
-// O(index)-per-query engines as the correctness oracle and the baseline
-// the scaling benchmarks measure against.
+// delta/varint compressed posting lists (postlist.go) are indexed by
+// term id, and query scores accumulate in pooled epoch-stamped sparse
+// accumulators through one scoring kernel (sparse.go) that Search,
+// SearchDocuments and SearchWeighted share. The previous dense
+// O(index)-per-query engines, SearchReference and
+// SearchDocumentsReference, live in the package's test files as the
+// oracle the kernel is proven against and the baseline the scaling
+// benchmarks measure.
 package ir
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 
@@ -354,11 +356,12 @@ func (ix *Index) DF(lemma string) int {
 // side ("IR usually receives just a set of keywords ... discarding
 // stop-words"). It is the single normalisation point of the query path:
 // terms come out lowercased and deduplicated, which is the form Search
-// and SearchDocuments expect.
+// and SearchDocuments expect. Analysis only reads the nlp intern pool
+// (nlp.AnalyzeQuery), so arbitrary query text cannot grow it.
 func QueryTerms(text string) []string {
 	var out []string
 	seen := map[string]bool{}
-	for _, t := range nlp.Analyze(text) {
+	for _, t := range nlp.AnalyzeQuery(text) {
 		if t.IsContentWord() && !nlp.IsStopword(t.Lemma) && !seen[t.Lemma] {
 			seen[t.Lemma] = true
 			out = append(out, t.Lemma)
@@ -368,45 +371,40 @@ func QueryTerms(text string) []string {
 }
 
 // Search returns the top-k passages for the query terms, ranked by the
-// IR-n style weight sum((1+log tf) * idf). Deterministic: ties break by
-// document then passage position. Terms must be normalised (lowercase,
-// deduplicated) as QueryTerms and the QA question analysis produce them;
-// Search itself does no lowercasing or deduplication.
+// IR-n style weight sum((1+log tf) * idf), idf = log(1 + N/df) over the
+// passage store. Deterministic: ties break by document then passage
+// position. Terms must be normalised (lowercase, deduplicated) as
+// QueryTerms and the QA question analysis produce them; Search itself
+// does no lowercasing or deduplication.
 //
-// Scores accumulate in a pooled epoch-stamped sparse accumulator: only
-// passages that actually match a term are touched, so a query costs
-// O(matched postings + matches·log k) with zero per-query allocation
-// proportional to the index — the property that keeps cold-path
-// retrieval sublinear in corpus size (see PERF.md "Sparse retrieval").
-// Ranking is byte-identical to the dense SearchReference oracle.
+// Search is SearchWeighted with the index's own statistics: the idf
+// vector comes from GlobalIDF over the passage store's document
+// frequencies, taken under the same read lock, so a sharded coordinator
+// that sums those statistics and imposes the result scores every passage
+// bit for bit as one index would. Scores accumulate through the scoring
+// kernel (accumulateLocked) in a pooled epoch-stamped sparse
+// accumulator: only passages that actually match a term are touched, so
+// a query costs O(matched postings + matches·log k) with zero per-query
+// allocation proportional to the index — the property that keeps
+// cold-path retrieval sublinear in corpus size (see PERF.md "Sparse
+// retrieval"). Ranking and scores are byte-identical to the dense
+// reference oracle the tests keep.
 func (ix *Index) Search(terms []string, k int) []Passage {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if len(ix.passages) == 0 || len(terms) == 0 || k <= 0 {
 		return nil
 	}
+	return ix.searchWeightedLocked(terms, GlobalIDF(len(ix.passages), ix.dfLocked(ix.postings, terms)), k)
+}
+
+// searchWeightedLocked scores the passage postings of each term with its
+// imposed idf weight and materialises the top k. Caller holds the read
+// lock and has rejected the empty cases.
+func (ix *Index) searchWeightedLocked(terms []string, idf []float64, k int) []Passage {
 	acc := getAcc(len(ix.passages))
 	defer putAcc(acc)
-	nPass := float64(len(ix.passages))
-	for _, term := range terms {
-		id, ok := ix.terms[term]
-		if !ok {
-			continue
-		}
-		pl := &ix.postings[id]
-		n := pl.count()
-		if n == 0 {
-			continue
-		}
-		idf := math.Log(1 + nPass/float64(n))
-		for c := pl.cursor(); ; {
-			pid, tf, ok := c.next()
-			if !ok {
-				break
-			}
-			acc.add(pid, (1+math.Log(float64(tf)))*idf)
-		}
-	}
+	ix.accumulateLocked(acc, ix.postings, terms, idf)
 	ids := acc.rank(k)
 	out := make([]Passage, 0, len(ids))
 	for _, id := range ids {
@@ -438,8 +436,8 @@ func (ix *Index) materializeLocked(id int, score float64) Passage {
 // tf-idf and return them in full. The caller (a user, per the paper) "has
 // to further search for the requested information" inside them. Like
 // Search it expects normalised terms and scores sparsely over the
-// document posting lists; SearchDocumentsReference retains the dense
-// oracle.
+// document posting lists through the same kernel, with idf derived by
+// GlobalIDF over the document store.
 func (ix *Index) SearchDocuments(terms []string, k int) []DocResult {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -448,26 +446,7 @@ func (ix *Index) SearchDocuments(terms []string, k int) []DocResult {
 	}
 	acc := getAcc(len(ix.docs))
 	defer putAcc(acc)
-	nDocs := float64(len(ix.docs))
-	for _, term := range terms {
-		id, ok := ix.terms[term]
-		if !ok {
-			continue
-		}
-		pl := &ix.docPostings[id]
-		n := pl.count()
-		if n == 0 {
-			continue
-		}
-		idf := math.Log(1 + nDocs/float64(n))
-		for c := pl.cursor(); ; {
-			did, tf, ok := c.next()
-			if !ok {
-				break
-			}
-			acc.add(did, (1+math.Log(float64(tf)))*idf)
-		}
-	}
+	ix.accumulateLocked(acc, ix.docPostings, terms, GlobalIDF(len(ix.docs), ix.dfLocked(ix.docPostings, terms)))
 	ids := acc.rank(k)
 	out := make([]DocResult, 0, len(ids))
 	for _, id := range ids {

@@ -1,6 +1,9 @@
 package ir
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // sparseAcc is an epoch-stamped sparse score accumulator: scores are
 // recorded only for the ids that actually match a query term, so a query
@@ -60,6 +63,62 @@ func (a *sparseAcc) add(id int32, w float64) {
 		a.touched = append(a.touched, id)
 	}
 	a.scores[id] += w
+}
+
+// The scoring kernel. Every ranked retrieval — Search, SearchDocuments,
+// SearchWeighted — derives one idf weight per query term through
+// GlobalIDF and then folds the terms' posting lists into an
+// accumulator through accumulateLocked, adding (1 + ln tf)·idf per
+// posting. The kernel evaluates exactly the float operations of that
+// formula, in the same order, so scores stay bit-for-bit equal to the
+// literal math.Log expression the reference oracle writes out.
+
+// tfTableSize bounds the tf values served from tfWeightTable. Passage
+// windows are eight sentences, so almost every posting's tf is small;
+// the rare larger tf falls back to computing the same expression.
+const tfTableSize = 64
+
+// tfWeightTable[tf] holds 1 + ln tf, filled once at package init by the
+// very expression tfWeight falls back to — it takes math.Log off the
+// per-posting path.
+var tfWeightTable = func() (t [tfTableSize]float64) {
+	for tf := range t {
+		t[tf] = 1 + math.Log(float64(tf))
+	}
+	return t
+}()
+
+// tfWeight returns 1 + ln tf, bitwise equal to the literal math.Log
+// expression for every tf (TestTFWeightBitwise).
+func tfWeight(tf int32) float64 {
+	if uint32(tf) < tfTableSize {
+		return tfWeightTable[tf]
+	}
+	return 1 + math.Log(float64(tf))
+}
+
+// accumulateLocked is the one accumulate loop of the package: for each
+// term it decodes the term's posting list in lists (the passage or the
+// document store) and adds tfWeight(tf)·idf[i] onto every posting's id.
+// A zero weight or a term the index has never seen contributes nothing.
+// Caller holds the read lock.
+func (ix *Index) accumulateLocked(acc *sparseAcc, lists []postingList, terms []string, idf []float64) {
+	for i, term := range terms {
+		if i >= len(idf) || idf[i] == 0 {
+			continue
+		}
+		id, ok := ix.terms[term]
+		if !ok {
+			continue
+		}
+		for c := lists[id].cursor(); ; {
+			pid, tf, ok := c.next()
+			if !ok {
+				break
+			}
+			acc.add(pid, tfWeight(tf)*idf[i])
+		}
+	}
 }
 
 // rank selects the k best matched ids (score descending, id ascending —

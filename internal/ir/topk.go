@@ -89,20 +89,3 @@ func (h *topK) ranked() []int32 {
 	}
 	return out
 }
-
-// selectTopK scans a dense score accumulator (index = id, zero = unscored)
-// and returns the ids of the k best scores, ranked. k is clamped to the
-// candidate count so a "return everything" request cannot reserve O(k)
-// memory up front.
-func selectTopK(scores []float64, k int) []int32 {
-	if k > len(scores) {
-		k = len(scores)
-	}
-	h := newTopK(k)
-	for id, s := range scores {
-		if s > 0 {
-			h.offer(int32(id), s)
-		}
-	}
-	return h.ranked()
-}

@@ -274,7 +274,7 @@ func (t *Translator) Translate(question string) (*Translation, error) {
 	if q == "" {
 		return nil, ErrFactoid
 	}
-	sents := nlp.SplitSentences(q)
+	sents := nlp.SplitQuerySentences(q)
 	if len(sents) == 0 || len(sents[0].Tokens) == 0 {
 		return nil, ErrFactoid
 	}

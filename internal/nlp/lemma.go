@@ -29,28 +29,30 @@ var irregularLemmas = map[string]string{
 // tag. Proper nouns and numbers are lower-cased but otherwise unchanged,
 // matching the paper's trace ("January NP january", "8 CD 8").
 func Lemmatize(word string, tag Tag) string {
-	return lemmatizeLower(Intern(strings.ToLower(word)), tag)
+	return lemmatizeLower(Intern(strings.ToLower(word)), tag, Intern)
 }
 
-// lemmatizeLower is Lemmatize over an already lower-cased, interned form.
-// Results are interned too, so every occurrence of a lemma across the
-// whole corpus is one heap string — the storage the analysed sentences
-// (and through them the IR term dictionary) retain.
-func lemmatizeLower(lower string, tag Tag) string {
+// lemmatizeLower is Lemmatize over an already lower-cased, canonical
+// form. A derived lemma passes through canon too: for document analysis
+// that is Intern, so every occurrence of a lemma across the whole corpus
+// is one heap string — the storage the analysed sentences (and through
+// them the IR term dictionary) retain; query analysis passes the
+// insert-free lookup.
+func lemmatizeLower(lower string, tag Tag, canon func(string) string) string {
 	if lemma, ok := irregularLemmas[lower]; ok {
 		return lemma
 	}
 	switch tag {
 	case TagCD:
-		return Intern(stripOrdinal(lower))
+		return canon(stripOrdinal(lower))
 	case TagNNS:
-		return Intern(singularize(lower))
+		return canon(singularize(lower))
 	case TagVBZ:
-		return Intern(unverbThirdPerson(lower))
+		return canon(unverbThirdPerson(lower))
 	case TagVBD, TagVBN:
-		return Intern(strip("ed", lower))
+		return canon(strip("ed", lower))
 	case TagVBG:
-		return Intern(strip("ing", lower))
+		return canon(strip("ing", lower))
 	default:
 		return lower
 	}

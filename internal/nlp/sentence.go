@@ -40,13 +40,22 @@ func (s Sentence) ContentLemmas() []string {
 	return out
 }
 
-// SplitSentences analyses text and groups the tokens into sentences.
-// Boundaries are sentence-final punctuation (. ! ?) not inside a decimal
-// number, and blank lines (which web page extraction produces between
-// blocks). A lone newline also ends a sentence when the next line starts
-// with a capital or digit — web weather pages are line-structured.
-func SplitSentences(text string) []Sentence {
-	toks := Analyze(text)
+// SplitSentences analyses document text (Analyze) and groups the tokens
+// into sentences. Boundaries are sentence-final punctuation (. ! ?) not
+// inside a decimal number, and blank lines (which web page extraction
+// produces between blocks). A lone newline also ends a sentence when the
+// next line starts with a capital or digit — web weather pages are
+// line-structured.
+func SplitSentences(text string) []Sentence { return splitSentences(text, Analyze(text)) }
+
+// SplitQuerySentences is SplitSentences for query text: the same
+// sentences, analysed by AnalyzeQuery so the intern pool is only read.
+func SplitQuerySentences(text string) []Sentence {
+	return splitSentences(text, AnalyzeQuery(text))
+}
+
+// splitSentences groups the analysed tokens of text into sentences.
+func splitSentences(text string, toks []Token) []Sentence {
 	var sents []Sentence
 	start := 0
 	// Sentences are capacity-clamped subslices of the single token slice

@@ -6,20 +6,32 @@ import (
 	"unicode/utf8"
 )
 
-// Analyze tokenises and tags text, filling in lemma, tag and offsets for
-// every token. It is the entry point equivalent to running the paper's
-// Maco+/TreeTagger step. Each token is lower-cased exactly once into an
-// interned form shared by the tagger and the lemmatiser (previously both
-// lowered independently, doubling the dominant index-time allocation).
-func Analyze(text string) []Token {
+// Analyze tokenises and tags document text, filling in lemma, tag and
+// offsets for every token. It is the entry point equivalent to running
+// the paper's Maco+/TreeTagger step. Each token is lower-cased exactly
+// once into an interned form shared by the tagger and the lemmatiser
+// (previously both lowered independently, doubling the dominant
+// index-time allocation).
+func Analyze(text string) []Token { return analyze(text, Intern) }
+
+// AnalyzeQuery is Analyze for query text — questions and retrieval
+// keywords, i.e. user input. Tokens, tags and lemmas are identical to
+// Analyze's; the only difference is that word forms and lemmas are
+// looked up in the intern pool, never added to it, so unbounded traffic
+// cannot grow the process-wide pool.
+func AnalyzeQuery(text string) []Token { return analyze(text, lookup) }
+
+// analyze is the shared body of Analyze and AnalyzeQuery; canon maps a
+// lower-cased form or lemma to the instance tokens keep.
+func analyze(text string, canon func(string) string) []Token {
 	toks := Tokenize(text)
 	lowers := make([]string, len(toks))
 	for i := range toks {
-		lowers[i] = Intern(strings.ToLower(toks[i].Text))
+		lowers[i] = canon(strings.ToLower(toks[i].Text))
 	}
 	tagTokens(toks, lowers)
 	for i := range toks {
-		toks[i].Lemma = lemmatizeLower(lowers[i], toks[i].Tag)
+		toks[i].Lemma = lemmatizeLower(lowers[i], toks[i].Tag, canon)
 	}
 	return toks
 }

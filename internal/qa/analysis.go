@@ -101,7 +101,7 @@ func (s *System) analyze(question string) (*Analysis, error) {
 	if question == "" {
 		return nil, fmt.Errorf("qa: empty question")
 	}
-	sents := nlp.SplitSentences(question)
+	sents := nlp.SplitQuerySentences(question)
 	if len(sents) == 0 {
 		return nil, fmt.Errorf("qa: unanalysable question %q", question)
 	}
