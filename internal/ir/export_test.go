@@ -1,6 +1,11 @@
 package ir
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+
+	"dwqa/internal/nlp"
+)
 
 // The dense reference engines, test-only. SearchReference and
 // SearchDocumentsReference are the scoring engines Search and
@@ -108,4 +113,69 @@ func selectTopK(scores []float64, k int) []int32 {
 		}
 	}
 	return h.ranked()
+}
+
+// postingCursor streams a postingList's (id, tf) pairs in order — the
+// oracles' and the compression tests' reader. It decodes with plain
+// binary.Uvarint calls, independently of the scoring kernel's in-place
+// decode (accumulateLocked), so the two readers check each other. The
+// zero cursor is empty.
+type postingCursor struct {
+	enc  []byte
+	pos  int
+	rem  int32 // encoded postings not yet yielded
+	prev int32 // delta base (-1 before the first encoded posting)
+	raw  []Posting
+	ri   int
+}
+
+// cursor returns a cursor over the list's full posting sequence.
+func (pl *postingList) cursor() postingCursor {
+	return postingCursor{enc: pl.enc, rem: pl.encN, prev: -1, raw: pl.raw}
+}
+
+// next yields the next posting. ok is false when the list is exhausted.
+func (c *postingCursor) next() (id, tf int32, ok bool) {
+	if c.rem > 0 {
+		c.rem--
+		gap, n := binary.Uvarint(c.enc[c.pos:])
+		c.pos += n
+		tfu, n := binary.Uvarint(c.enc[c.pos:])
+		c.pos += n
+		c.prev += int32(gap)
+		return c.prev, int32(tfu), true
+	}
+	if c.ri < len(c.raw) {
+		p := c.raw[c.ri]
+		c.ri++
+		return p.ID, p.TF, true
+	}
+	return 0, 0, false
+}
+
+// decodeTokenBlock materialises every sentence of a validated block with
+// plain binary.Uvarint / binary.Varint reads, one token slice per
+// sentence — the oracle the production window decoder,
+// decodeTokenWindow, is checked against.
+func decodeTokenBlock(data []byte, text string, nSents int, tags, lemmas []string) []nlp.Sentence {
+	pos, prev := 0, 0
+	uv := func() int {
+		v, n := binary.Uvarint(data[pos:])
+		pos += n
+		return int(v)
+	}
+	sents := make([]nlp.Sentence, nSents)
+	for s := range sents {
+		toks := make([]nlp.Token, uv())
+		for i := range toks {
+			delta, n := binary.Varint(data[pos:])
+			pos += n
+			start := prev + int(delta)
+			prev = start + uv()
+			tag := tags[uv()]
+			toks[i] = nlp.Token{Text: text[start:prev], Lemma: lemmas[uv()], Tag: nlp.Tag(tag), Start: start, End: prev}
+		}
+		sents[s] = nlp.Sentence{Tokens: toks, Start: toks[0].Start, End: toks[len(toks)-1].End}
+	}
+	return sents
 }

@@ -81,21 +81,21 @@ type Posting struct {
 
 // passageEntry is the stored form of a passage.
 type passageEntry struct {
-	doc        int
-	sentStart  int
-	sentEnd    int
-	sentOffset int // index into the document's sentence slice
+	doc       int
+	sentStart int
+	sentEnd   int
 }
 
-// docSlot holds one document's analysed sentences, either eagerly (a
-// live AddBatch) or lazily (a snapshot restore keeps the wire token block and
-// decodes on first touch — sentsAt). lazy decode synchronises through
-// once, so concurrent readers under the index read lock are safe; block
-// and the counts are immutable after construction.
+// docSlot holds one document's analysed sentences in one of two forms.
+// A live AddBatch keeps the sentences it analysed (sents): that memory is
+// set by what was ingested. A snapshot restore keeps only the wire token
+// block and its counts, and every read decodes the passage window it
+// needs (decodeTokenWindow) without keeping it, so serving traffic never
+// grows the index. A slot is immutable after construction, which makes
+// concurrent readers under the index read lock safe.
 type docSlot struct {
-	once   sync.Once
-	sents  []nlp.Sentence
-	block  []byte // wire token block; nil for eagerly-added documents
+	sents  []nlp.Sentence // eagerly-added documents; nil when restored
+	block  []byte         // wire token block; nil for eagerly-added documents
 	nSents int32
 	nToks  int32
 }
@@ -108,7 +108,7 @@ type Index struct {
 
 	mu       sync.RWMutex
 	docs     []Document
-	docSents []*docSlot
+	docSents []docSlot
 	passages []passageEntry
 	// byURL maps a document URL to its first index in docs — the
 	// idempotency probe (HasURL) the streaming seeder uses to skip pages
@@ -116,7 +116,7 @@ type Index struct {
 	byURL map[string]int
 
 	// tokTags / tokLemmas are the snapshot's tag and lemma intern tables,
-	// kept so lazy doc slots decode against them and Export reuses stored
+	// kept so restored doc slots decode against them and Export reuses stored
 	// blocks verbatim. Empty for an index built purely by AddBatch.
 	tokTags   []string
 	tokLemmas []string
@@ -191,18 +191,16 @@ func (ix *Index) intern(lemma string) int32 {
 	return id
 }
 
-// sentsAt returns document d's analysed sentences, decoding a restored
-// document's token block on first touch. Callers hold at least the read
-// lock; the slot's sync.Once makes the decode race-free across
-// concurrent readers.
-func (ix *Index) sentsAt(d int) []nlp.Sentence {
-	s := ix.docSents[d]
-	if s.block != nil {
-		s.once.Do(func() {
-			s.sents = decodeTokenBlock(s.block, ix.docs[d].Text, int(s.nSents), int(s.nToks), ix.tokTags, ix.tokLemmas)
-		})
+// sentencesLocked returns sentences [from, to) of document d: a
+// subslice of an eagerly-added document's analysis, or a fresh decode of
+// that window of a restored document's token block. Caller holds at
+// least the read lock.
+func (ix *Index) sentencesLocked(d, from, to int) []nlp.Sentence {
+	s := &ix.docSents[d]
+	if s.block == nil {
+		return s.sents[from:to]
 	}
-	return s.sents
+	return decodeTokenWindow(s.block, ix.docs[d].Text, from, to, int(s.nSents), int(s.nToks), ix.tokTags, ix.tokLemmas)
 }
 
 // splitDoc validates and sentence-splits one document outside the lock.
@@ -253,7 +251,7 @@ func (ix *Index) AddBatch(docs []Document) error {
 func (ix *Index) addLocked(doc Document, sents []nlp.Sentence) {
 	docIdx := len(ix.docs)
 	ix.docs = append(ix.docs, doc)
-	ix.docSents = append(ix.docSents, &docSlot{sents: sents})
+	ix.docSents = append(ix.docSents, docSlot{sents: sents})
 	if _, ok := ix.byURL[doc.URL]; !ok {
 		ix.byURL[doc.URL] = docIdx
 	}
@@ -292,7 +290,7 @@ func (ix *Index) addLocked(doc Document, sents []nlp.Sentence) {
 		}
 		pid := len(ix.passages)
 		ix.passages = append(ix.passages, passageEntry{
-			doc: docIdx, sentStart: start, sentEnd: end, sentOffset: start,
+			doc: docIdx, sentStart: start, sentEnd: end,
 		})
 		ptf := map[int32]int32{}
 		for _, ids := range sentTerms[start:end] {
@@ -416,7 +414,7 @@ func (ix *Index) searchWeightedLocked(terms []string, idf []float64, k int) []Pa
 // materializeLocked builds the Passage value for a passage ID.
 func (ix *Index) materializeLocked(id int, score float64) Passage {
 	pe := ix.passages[id]
-	sents := ix.sentsAt(pe.doc)[pe.sentStart:pe.sentEnd]
+	sents := ix.sentencesLocked(pe.doc, pe.sentStart, pe.sentEnd)
 	doc := ix.docs[pe.doc]
 	start := sents[0].Start
 	end := sents[len(sents)-1].End

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -266,19 +267,33 @@ func TestDocumentAccessor(t *testing.T) {
 	}
 }
 
+// TestConcurrentSearch searches an eagerly built index and its restored
+// twin, whose passage reads decode token windows on every call, from
+// several goroutines at once; every result must equal the eager one.
 func TestConcurrentSearch(t *testing.T) {
-	ix := newTestIndex(t)
-	done := make(chan bool, 4)
-	for g := 0; g < 4; g++ {
-		go func() {
-			for i := 0; i < 100; i++ {
-				ix.Search([]string{"temperature", "barcelona"}, 3)
-			}
-			done <- true
-		}()
+	eager := newTestIndex(t)
+	restored := NewIndex()
+	if err := restored.Import(eager.Export()); err != nil {
+		t.Fatal(err)
 	}
-	for g := 0; g < 4; g++ {
-		<-done
+	terms := []string{"temperature", "barcelona"}
+	want := eager.Search(terms, 3)
+	for _, ix := range []*Index{eager, restored} {
+		done := make(chan bool, 4)
+		for g := 0; g < 4; g++ {
+			go func() {
+				for i := 0; i < 100; i++ {
+					if got := ix.Search(terms, 3); !reflect.DeepEqual(got, want) {
+						t.Errorf("concurrent search diverged from the eager index:\n got %+v\nwant %+v", got, want)
+						break
+					}
+				}
+				done <- true
+			}()
+		}
+		for g := 0; g < 4; g++ {
+			<-done
+		}
 	}
 }
 

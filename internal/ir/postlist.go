@@ -18,11 +18,12 @@ import "encoding/binary"
 // deterministic wire form, and a restored index re-exports byte-identical
 // snapshots.
 //
-// Iteration is a stack-value cursor (postingCursor), not a materialised
-// slice: the search hot path decodes postings in place with zero
-// per-query allocation, preserving the exact (id, tf) sequence the raw
-// lists held — scores are a fold over that sequence, so rankings stay
-// byte-identical to the dense reference oracle.
+// Lists are never materialised for reading: the scoring kernel
+// (accumulateLocked, sparse.go) decodes the encoded prefix in place and
+// then walks the raw tail, with zero per-query allocation, preserving the
+// exact (id, tf) sequence the raw lists held — scores are a fold over
+// that sequence, so rankings stay byte-identical to the dense reference
+// oracle, which reads lists through a test-only cursor.
 
 // encodeThreshold is the raw-tail length that triggers a flush into the
 // encoded prefix. Lists shorter than this stay raw (rare terms), keeping
@@ -83,58 +84,6 @@ func (pl *postingList) prevID() int32 {
 func appendPosting(dst []byte, prev int32, p Posting) []byte {
 	dst = binary.AppendUvarint(dst, uint64(uint32(p.ID-prev)))
 	return binary.AppendUvarint(dst, uint64(uint32(p.TF)))
-}
-
-// postingCursor streams a postingList's (id, tf) pairs in order. It is a
-// plain value — callers keep it on the stack, so iterating a list
-// allocates nothing. The zero cursor is empty.
-type postingCursor struct {
-	enc  []byte
-	pos  int
-	rem  int32 // encoded postings not yet yielded
-	prev int32 // delta base (-1 before the first encoded posting)
-	raw  []Posting
-	ri   int
-}
-
-// cursor returns a cursor over the list's full posting sequence.
-func (pl *postingList) cursor() postingCursor {
-	return postingCursor{enc: pl.enc, rem: pl.encN, prev: -1, raw: pl.raw}
-}
-
-// next yields the next posting. ok is false when the list is exhausted.
-func (c *postingCursor) next() (id, tf int32, ok bool) {
-	if c.rem > 0 {
-		c.rem--
-		gap, tfu := c.readPair()
-		c.prev += int32(gap)
-		return c.prev, int32(tfu), true
-	}
-	if c.ri < len(c.raw) {
-		p := c.raw[c.ri]
-		c.ri++
-		return p.ID, p.TF, true
-	}
-	return 0, 0, false
-}
-
-// readPair decodes the next (gap, tf) varint pair, with an inlined fast
-// path for the one-byte values that dominate dense lists. The cursor is
-// only ever built over streams the list itself encoded (or Import
-// validated), so truncation cannot occur; rem guards the loop.
-func (c *postingCursor) readPair() (gap, tf uint64) {
-	if c.pos+1 < len(c.enc) {
-		b0, b1 := c.enc[c.pos], c.enc[c.pos+1]
-		if b0 < 0x80 && b1 < 0x80 {
-			c.pos += 2
-			return uint64(b0), uint64(b1)
-		}
-	}
-	gap, n := binary.Uvarint(c.enc[c.pos:])
-	c.pos += n
-	tf, n = binary.Uvarint(c.enc[c.pos:])
-	c.pos += n
-	return gap, tf
 }
 
 // PostingList is the canonical wire form of one term's postings: the

@@ -10,17 +10,33 @@ import (
 
 // Sparse-vs-dense at corpus scale: the generated weather corpus of
 // core.BuildScaledCorpus, queried with the per-city [city, month] terms
-// question analysis sends to IR-n. The benchmarks verify the scoring
-// kernel against the dense reference before anything is timed, so
+// question analysis sends to IR-n and with the day-level factoid shape
+// [city, month, day, year] that dominates serving. The benchmarks verify
+// the scoring kernel against the dense reference before anything is
+// timed, so
 //
 //	go test -run '^$' -bench 'BenchmarkIRSearch(1k|10k)$' -benchtime 1x ./internal/ir
 //
 // doubles as a corpus-scale oracle check.
 
+// dayQueries returns one day-level factoid query per city, the terms of
+// "What is the temperature in <City> on January <d>, <year>?": the day
+// number and the year sit in a large share of all passages, so their
+// lists carry long encoded prefixes, and the city's list the multi-byte
+// gaps between its pages.
+func dayQueries(sc *core.ScaledCorpus) [][]string {
+	out := make([][]string, 0, len(sc.Cities))
+	for i, city := range sc.Cities {
+		year := sc.Years[i%len(sc.Years)]
+		out = append(out, ir.QueryTerms(fmt.Sprintf("%s on January %d, %d", city, i%28+1, year)))
+	}
+	return out
+}
+
 // verifyScaledIR asserts the sparse scorer and the dense reference rank
-// every workload query byte-identically at top-k.
+// every workload query of both shapes byte-identically at top-k.
 func verifyScaledIR(sc *core.ScaledCorpus, k int) error {
-	for _, terms := range sc.Queries() {
+	for _, terms := range append(sc.Queries(), dayQueries(sc)...) {
 		sparse := sc.Index.Search(terms, k)
 		dense := sc.Index.SearchReference(terms, k)
 		if len(sparse) == 0 {
@@ -55,7 +71,7 @@ func TestScaledIREquivalence(t *testing.T) {
 
 func TestScaledIRErrorPaths(t *testing.T) {
 	// Verification over an empty index reports the missing passages.
-	empty := &core.ScaledCorpus{Index: ir.NewIndex(), Cities: []string{"Alderford"}}
+	empty := &core.ScaledCorpus{Index: ir.NewIndex(), Cities: []string{"Alderford"}, Years: []int{1998}}
 	if err := verifyScaledIR(empty, 5); err == nil {
 		t.Error("verifyScaledIR accepted an empty index")
 	}

@@ -34,8 +34,8 @@ type PassageRef struct {
 // the logical content — so exports of equivalent indexes are
 // byte-identical however the indexes were built, and the store can
 // persist the bytes verbatim. Import installs them without re-encoding:
-// postings are adopted as-is and token blocks decode lazily on first
-// touch.
+// postings are adopted as-is and token blocks stay in wire form, each
+// read decoding the passage window it needs.
 type Snapshot struct {
 	PassageSize int
 	Stride      int
@@ -53,10 +53,10 @@ type Snapshot struct {
 
 // Export copies the full index state under the read lock. Posting lists
 // are canonicalised into their wire form; documents restored from a
-// snapshot re-export their stored token blocks verbatim (whether or not
-// they have been lazily decoded), and eagerly-added documents are
-// encoded fresh, extending the intern tables in first-occurrence order —
-// the same order an uninterrupted run would have produced.
+// snapshot re-export their stored token blocks verbatim, and
+// eagerly-added documents are encoded fresh, extending the intern tables
+// in first-occurrence order — the same order an uninterrupted run would
+// have produced.
 func (ix *Index) Export() *Snapshot {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -115,8 +115,8 @@ func (ix *Index) Export() *Snapshot {
 // Import restores a snapshot into an empty index as a bulk load: posting
 // lists are adopted in their wire form (validated, never re-encoded),
 // passage windows are installed wholesale, and each document's token
-// block is kept as-is — structurally validated here, then decoded into
-// sentences only when a query first touches the document (sentsAt). The
+// block is kept as-is — structurally validated here, then decoded one
+// passage window at a time by the reads that need it (sentencesLocked). The
 // term dictionary map is rebuilt in a single pass over Terms. Window
 // geometry (passage size, stride) is taken from the snapshot, overriding
 // any NewIndex options, because it describes the windows already built.
@@ -191,16 +191,14 @@ func (ix *Index) Import(snap *Snapshot) error {
 	}
 	ix.tokTags = snap.TokTags
 	ix.tokLemmas = snap.TokLemmas
-	ix.docSents = make([]*docSlot, len(snap.Docs))
-	slots := make([]docSlot, len(snap.Docs))
-	for i := range slots {
-		slots[i] = docSlot{block: snap.DocTokens[i], nSents: snap.DocSents[i], nToks: snap.DocToks[i]}
-		ix.docSents[i] = &slots[i]
+	ix.docSents = make([]docSlot, len(snap.Docs))
+	for i := range ix.docSents {
+		ix.docSents[i] = docSlot{block: snap.DocTokens[i], nSents: snap.DocSents[i], nToks: snap.DocToks[i]}
 	}
 	ix.passages = make([]passageEntry, len(snap.Passages))
 	for i, pe := range snap.Passages {
 		ix.passages[i] = passageEntry{
-			doc: int(pe.Doc), sentStart: int(pe.SentStart), sentEnd: int(pe.SentEnd), sentOffset: int(pe.SentStart),
+			doc: int(pe.Doc), sentStart: int(pe.SentStart), sentEnd: int(pe.SentEnd),
 		}
 	}
 	ix.terms = terms
@@ -219,8 +217,8 @@ func (ix *Index) Import(snap *Snapshot) error {
 }
 
 // validateBlocks structurally checks every document's token block in
-// parallel — the pass that lets sentsAt decode lazily without an error
-// path. It is the bulk of import-time CPU, but still an order of
+// parallel — the pass that lets sentencesLocked decode windows without
+// an error path. It is the bulk of import-time CPU, but still an order of
 // magnitude cheaper than materialising every token eagerly.
 func (ix *Index) validateBlocks(snap *Snapshot) error {
 	var firstErr atomic.Pointer[error]
@@ -273,20 +271,4 @@ func (ix *Index) SetJournal(j Journal) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.journal = j
-}
-
-// SentenceStats reports how many restored documents have had their token
-// blocks decoded versus deferred — the observability hook for the lazy
-// restore path (documents added live count as decoded).
-func (ix *Index) SentenceStats() (decoded, deferred int) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	for _, s := range ix.docSents {
-		if s.block != nil && s.sents == nil {
-			deferred++
-		} else {
-			decoded++
-		}
-	}
-	return decoded, deferred
 }

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"encoding/binary"
 	"math"
 	"sync"
 )
@@ -101,8 +102,17 @@ func tfWeight(tf int32) float64 {
 // term it decodes the term's posting list in lists (the passage or the
 // document store) and adds tfWeight(tf)·idf[i] onto every posting's id.
 // A zero weight or a term the index has never seen contributes nothing.
+//
+// The encoded prefix is decoded in place: the byte position, the delta
+// base and the accumulator's slices live in locals, the one-byte
+// (gap, tf) pair that dominates dense lists is read inline, and
+// registering a first touch is spelled out rather than called; the raw
+// tail (under encodeThreshold postings) goes through add. The float
+// work per posting is still the one product folded into one +=, in list
+// order, so scores match the oracle bit for bit (FuzzPostingKernel).
 // Caller holds the read lock.
 func (ix *Index) accumulateLocked(acc *sparseAcc, lists []postingList, terms []string, idf []float64) {
+	stamp, scores, epoch := acc.stamp, acc.scores[:len(acc.stamp)], acc.epoch
 	for i, term := range terms {
 		if i >= len(idf) || idf[i] == 0 {
 			continue
@@ -111,12 +121,31 @@ func (ix *Index) accumulateLocked(acc *sparseAcc, lists []postingList, terms []s
 		if !ok {
 			continue
 		}
-		for c := lists[id].cursor(); ; {
-			pid, tf, ok := c.next()
-			if !ok {
-				break
+		w := idf[i]
+		pl := &lists[id]
+		enc, pos, prev := pl.enc, 0, int32(-1)
+		for n := pl.encN; n > 0; n-- {
+			var gap, tf uint64
+			if pos+1 < len(enc) && enc[pos]|enc[pos+1] < 0x80 {
+				gap, tf = uint64(enc[pos]), uint64(enc[pos+1])
+				pos += 2
+			} else {
+				var k int
+				gap, k = binary.Uvarint(enc[pos:])
+				pos += k
+				tf, k = binary.Uvarint(enc[pos:])
+				pos += k
 			}
-			acc.add(pid, tfWeight(tf)*idf[i])
+			prev += int32(gap)
+			if stamp[prev] != epoch {
+				stamp[prev] = epoch
+				scores[prev] = 0
+				acc.touched = append(acc.touched, prev)
+			}
+			scores[prev] += tfWeight(int32(tf)) * w
+		}
+		for _, p := range pl.raw {
+			acc.add(p.ID, tfWeight(p.TF)*w)
 		}
 	}
 }

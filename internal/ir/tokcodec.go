@@ -16,10 +16,11 @@ import (
 // Token text is not stored — a token's surface form is exactly
 // doc.Text[start:end), so decode slices it back out of the document.
 //
-// The codec lives in ir (not internal/store) because restore is lazy:
-// Import keeps the wire blocks and decodes a document's sentences on
-// first touch (sentsAt), so a restored index pays token materialisation
-// only for documents a query actually reads. The store writes and ships
+// The codec lives in ir (not internal/store) because a restored index
+// reads its sentences from the wire: Import keeps the blocks and every
+// passage read decodes just its window (decodeTokenWindow), so a
+// restored index pays token materialisation only for the passages a
+// query returns, and retains none of it. The store writes and ships
 // the same blocks verbatim. The byte format is unchanged from snapshot
 // schema v2, which decoded everything eagerly.
 
@@ -93,13 +94,13 @@ func vTok(data []byte, pos int) (int64, int) {
 	return v, next
 }
 
-// walkTokenBlock drives both validation and decode: it streams the block
-// once, calling emit for every token (emit is nil when only validating).
-// All structural failure modes — truncation, empty sentences, token
-// over/undercount, spans outside the document, intern indexes out of
-// range, trailing bytes — surface as errors here, so a block that passed
-// validation at Import decodes infallibly on first touch.
-func walkTokenBlock(data []byte, textLen, nSents, nTokens, nTags, nLemmas int, emit func(sent, ti, start, end, tagIdx, lemmaIdx int)) error {
+// validateTokenBlock structurally checks a wire block without
+// materialising tokens — the Import-time pass. All structural failure
+// modes — truncation, empty sentences, token over/undercount, spans
+// outside the document, intern indexes out of range, trailing bytes —
+// surface as errors here, so a block that passed validation at Import
+// decodes infallibly on every read (decodeTokenWindow).
+func validateTokenBlock(data []byte, textLen, nSents, nTokens, nTags, nLemmas int) error {
 	pos := 0
 	ti := 0
 	prev := 0
@@ -144,9 +145,6 @@ func walkTokenBlock(data []byte, textLen, nSents, nTokens, nTags, nLemmas int, e
 			if lemmaIdx >= uint64(nLemmas) {
 				return fmt.Errorf("lemma index %d out of range (%d entries)", lemmaIdx, nLemmas)
 			}
-			if emit != nil {
-				emit(s, ti, start, end, int(tagIdx), int(lemmaIdx))
-			}
 			ti++
 			prev = end
 		}
@@ -160,39 +158,59 @@ func walkTokenBlock(data []byte, textLen, nSents, nTokens, nTags, nLemmas int, e
 	return nil
 }
 
-// validateTokenBlock structurally checks a wire block without
-// materialising tokens — the Import-time pass that makes lazy decode
-// infallible.
-func validateTokenBlock(data []byte, textLen, nSents, nTokens, nTags, nLemmas int) error {
-	return walkTokenBlock(data, textLen, nSents, nTokens, nTags, nLemmas, nil)
-}
-
-// decodeTokenBlock materialises a validated block: tokens land in a
-// single per-document arena (one allocation) with sentences as
-// subslices, token text sliced straight out of the document. Panics on a
-// malformed block — callers only reach here through Import, which
-// validated the block already.
-func decodeTokenBlock(data []byte, text string, nSents, nTokens int, tags, lemmas []string) []nlp.Sentence {
-	arena := make([]nlp.Token, nTokens)
-	counts := make([]int32, nSents)
-	err := walkTokenBlock(data, len(text), nSents, nTokens, len(tags), len(lemmas), func(sent, ti, start, end, tagIdx, lemmaIdx int) {
-		counts[sent]++
-		arena[ti] = nlp.Token{
-			Text:  text[start:end],
-			Lemma: lemmas[lemmaIdx],
-			Tag:   nlp.Tag(tags[tagIdx]),
-			Start: start,
-			End:   end,
+// decodeTokenWindow materialises sentences [from, to) of a validated
+// block: the sentences before the window are walked only for their span
+// deltas (positions are delta-coded across sentence boundaries), the
+// window's tokens land in one arena with sentences as capacity-clamped
+// subslices, token text sliced straight out of the document, and the
+// bytes after the window are never read. Restored documents keep only
+// their wire block, so every passage read decodes its window afresh and
+// nothing decoded outlives the caller. The block must have passed
+// validateTokenBlock (Import does that), so decode has no error path.
+func decodeTokenWindow(data []byte, text string, from, to, nSents, nTokens int, tags, lemmas []string) []nlp.Sentence {
+	pos, prev := 0, 0
+	for s := 0; s < from; s++ {
+		var n uint64
+		n, pos = uvTok(data, pos)
+		for ; n > 0; n-- {
+			var delta int64
+			var length uint64
+			delta, pos = vTok(data, pos)
+			length, pos = uvTok(data, pos)
+			_, pos = uvTok(data, pos)
+			_, pos = uvTok(data, pos)
+			prev += int(delta) + int(length)
 		}
-	})
-	if err != nil {
-		panic(fmt.Sprintf("ir: validated token block failed to decode: %v", err))
 	}
-	sents := make([]nlp.Sentence, nSents)
-	ti := int32(0)
+	counts := make([]int, to-from)
+	arena := make([]nlp.Token, 0, nTokens/nSents*(to-from)+8)
+	for s := range counts {
+		var n uint64
+		n, pos = uvTok(data, pos)
+		counts[s] = int(n)
+		for ; n > 0; n-- {
+			var delta int64
+			var length, tagIdx, lemmaIdx uint64
+			delta, pos = vTok(data, pos)
+			length, pos = uvTok(data, pos)
+			tagIdx, pos = uvTok(data, pos)
+			lemmaIdx, pos = uvTok(data, pos)
+			start := prev + int(delta)
+			prev = start + int(length)
+			arena = append(arena, nlp.Token{
+				Text:  text[start:prev],
+				Lemma: lemmas[lemmaIdx],
+				Tag:   nlp.Tag(tags[tagIdx]),
+				Start: start,
+				End:   prev,
+			})
+		}
+	}
+	sents := make([]nlp.Sentence, len(counts))
+	ti := 0
 	for s, n := range counts {
 		toks := arena[ti : ti+n : ti+n]
-		sents[s] = nlp.Sentence{Tokens: toks, Start: toks[0].Start, End: toks[len(toks)-1].End}
+		sents[s] = nlp.Sentence{Tokens: toks, Start: toks[0].Start, End: toks[n-1].End}
 		ti += n
 	}
 	return sents

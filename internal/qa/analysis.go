@@ -50,6 +50,13 @@ type Analysis struct {
 	// ExpectedUnits are acceptable answer units from the unit concept's
 	// value-format axioms (empty when the pattern has no unit concept).
 	ExpectedUnits []string
+
+	// sents memoises Module 3's per-sentence derivations for this question
+	// only, keyed by (document index, sentence index): overlapping passage
+	// windows share sentences, and a measure question reads each sentence
+	// twice (passage location, then candidates). Dropped once extraction
+	// ends, so nothing derived from the corpus outlives the question.
+	sents map[[2]int]*sentInfo
 }
 
 // ExpectedAnswerType renders the expected answer type the way Table 1

@@ -196,14 +196,14 @@ func highLowContext(toks []nlp.Token, i int) (isHigh, isLow bool) {
 func (s *System) extractMeasures(a *Analysis, p ir.Passage, rankBonus float64) []Answer {
 	var out []Answer
 	var lastDate sbparser.DateRef
-	passageLoc := s.passageLocation(p)
+	passageLoc := s.passageLocation(a, p)
 	if passageLoc == "" {
 		// Table pages mention their city only near the top: fall back to
 		// the document's leading sentences (title and header).
 		passageLoc = s.documentLocation(p.DocIndex)
 	}
 	for idx := range p.Sentences {
-		info := s.sentInfo(p, idx)
+		info := s.sentInfo(a, p, idx)
 		blocks := info.blocks
 		sentDate := lastDate
 		if len(info.dates) > 0 {
@@ -415,7 +415,6 @@ func locationMatches(queryLocs []string, loc string) bool {
 // sentenceLocation finds the first city-denoting entity in a sentence
 // using the (possibly enriched) lexicon, trying multi-word spans first.
 func (s *System) sentenceLocation(sent nlp.Sentence) string {
-	wn := s.lexicon()
 	toks := sent.Tokens
 	for i := 0; i < len(toks); i++ {
 		if toks[i].Tag != nlp.TagNP {
@@ -434,50 +433,68 @@ func (s *System) sentenceLocation(sent nlp.Sentence) string {
 			if !ok {
 				continue
 			}
-			name := strings.Join(parts, " ")
-			for _, sense := range wn.Lookup(name, wordnet.Noun) {
-				if wn.IsA(sense.ID, "n.city") {
-					return titleCase(sense.CanonicalLemma())
-				}
+			if city := s.cityOf(strings.Join(parts, " ")); city != "" {
+				return city
 			}
 		}
 	}
 	return ""
 }
 
-// sentInfo returns the memoized question-independent derivations for the
-// i-th sentence of a passage window: (DocIndex, SentStart+i) identifies
-// the sentence globally. The shallow parse, date extraction, text render
-// and the WordNet hypernym walks for the city lookup dominated the cold
-// path when recomputed per question; here each corpus sentence pays them
-// once, whichever question touches it first.
-func (s *System) sentInfo(p ir.Passage, i int) *sentInfo {
-	key := [2]int{p.DocIndex, p.SentStart + i}
-	s.sentMu.Lock()
-	si, ok := s.sentMemo[key]
-	if !ok {
-		if s.sentMemo == nil {
-			s.sentMemo = make(map[[2]int]*sentInfo)
-		}
-		si = &sentInfo{}
-		s.sentMemo[key] = si
+// cityOf returns the canonical city a lower-cased NP name denotes in the
+// lexicon, "" when it denotes none. The WordNet hypernym walk behind it
+// dominated extraction, so answers are memoised by name: the names are
+// corpus proper nouns, a set bound by the corpus vocabulary.
+func (s *System) cityOf(name string) string {
+	s.citiesMu.Lock()
+	city, ok := s.cities[name]
+	s.citiesMu.Unlock()
+	if ok {
+		return city
 	}
-	s.sentMu.Unlock()
-	si.once.Do(func() {
-		sent := p.Sentences[i]
-		si.text = sent.Text()
-		si.blocks = sbparser.Parse(sent)
-		si.dates = sbparser.ExtractDates(si.blocks)
-		si.lemmas = sent.ContentLemmas()
-		si.loc = s.sentenceLocation(sent)
-	})
+	wn := s.lexicon()
+	for _, sense := range wn.Lookup(name, wordnet.Noun) {
+		if wn.IsA(sense.ID, "n.city") {
+			city = titleCase(sense.CanonicalLemma())
+			break
+		}
+	}
+	s.citiesMu.Lock()
+	if s.cities == nil {
+		s.cities = make(map[string]string)
+	}
+	s.cities[name] = city
+	s.citiesMu.Unlock()
+	return city
+}
+
+// sentInfo returns the derivations for the i-th sentence of a passage
+// window, memoised on the question's analysis: (DocIndex, SentStart+i)
+// identifies the sentence across the question's overlapping passages.
+func (s *System) sentInfo(a *Analysis, p ir.Passage, i int) *sentInfo {
+	key := [2]int{p.DocIndex, p.SentStart + i}
+	if si, ok := a.sents[key]; ok {
+		return si
+	}
+	sent := p.Sentences[i]
+	blocks := sbparser.Parse(sent)
+	si := &sentInfo{
+		text:   sent.Text(),
+		blocks: blocks,
+		dates:  sbparser.ExtractDates(blocks),
+		loc:    s.sentenceLocation(sent),
+	}
+	if a.sents == nil {
+		a.sents = make(map[[2]int]*sentInfo)
+	}
+	a.sents[key] = si
 	return si
 }
 
 // passageLocation returns the first city mentioned anywhere in a passage.
-func (s *System) passageLocation(p ir.Passage) string {
+func (s *System) passageLocation(a *Analysis, p ir.Passage) string {
 	for i := range p.Sentences {
-		if loc := s.sentInfo(p, i).loc; loc != "" {
+		if loc := s.sentInfo(a, p, i).loc; loc != "" {
 			return loc
 		}
 	}
@@ -501,7 +518,7 @@ func (s *System) documentLocation(docIndex int) string {
 		if len(head) > 400 {
 			head = head[:400]
 		}
-		for _, sent := range nlp.SplitSentences(head) {
+		for _, sent := range nlp.SplitQuerySentences(head) {
 			if l := s.sentenceLocation(sent); l != "" {
 				loc = l
 				break
@@ -543,9 +560,9 @@ func (s *System) extractTyped(a *Analysis, p ir.Passage, rankBonus float64) []An
 	wn := s.lexicon()
 	var out []Answer
 	for idx := range p.Sentences {
-		info := s.sentInfo(p, idx)
+		info := s.sentInfo(a, p, idx)
 		toks := p.Sentences[idx].Tokens
-		overlap := termOverlap(info.lemmas, questionTerms)
+		overlap := termOverlap(p.Sentences[idx], questionTerms)
 		for i := 0; i < len(toks); i++ {
 			if toks[i].Tag != nlp.TagNP {
 				continue
@@ -586,10 +603,12 @@ func (s *System) extractTyped(a *Analysis, p ir.Passage, rankBonus float64) []An
 	return out
 }
 
-func termOverlap(lemmas []string, questionTerms map[string]bool) int {
+// termOverlap counts the sentence's content lemmas (nlp.Sentence.
+// ContentLemmas, without building the slice) that are question terms.
+func termOverlap(sent nlp.Sentence, questionTerms map[string]bool) int {
 	n := 0
-	for _, l := range lemmas {
-		if questionTerms[l] {
+	for _, t := range sent.Tokens {
+		if t.IsContentWord() && !nlp.IsStopword(t.Lemma) && questionTerms[t.Lemma] {
 			n++
 		}
 	}
@@ -602,8 +621,8 @@ func (s *System) extractTemporal(a *Analysis, p ir.Passage, rankBonus float64) [
 	questionTerms := a.termSet()
 	var out []Answer
 	for idx := range p.Sentences {
-		info := s.sentInfo(p, idx)
-		overlap := termOverlap(info.lemmas, questionTerms)
+		info := s.sentInfo(a, p, idx)
+		overlap := termOverlap(p.Sentences[idx], questionTerms)
 		if overlap == 0 {
 			continue
 		}
@@ -631,8 +650,8 @@ func (s *System) extractNumeric(a *Analysis, p ir.Passage, rankBonus float64) []
 	questionTerms := a.termSet()
 	var out []Answer
 	for idx := range p.Sentences {
-		info := s.sentInfo(p, idx)
-		overlap := termOverlap(info.lemmas, questionTerms)
+		info := s.sentInfo(a, p, idx)
+		overlap := termOverlap(p.Sentences[idx], questionTerms)
 		if overlap == 0 {
 			continue
 		}
@@ -675,8 +694,8 @@ func (s *System) extractDefinition(a *Analysis, p ir.Passage, rankBonus float64)
 	questionTerms := a.termSet()
 	var out []Answer
 	for idx := range p.Sentences {
-		info := s.sentInfo(p, idx)
-		overlap := termOverlap(info.lemmas, questionTerms)
+		info := s.sentInfo(a, p, idx)
+		overlap := termOverlap(p.Sentences[idx], questionTerms)
 		if overlap == 0 {
 			continue
 		}

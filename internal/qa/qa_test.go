@@ -1,6 +1,7 @@
 package qa
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -475,5 +476,52 @@ func TestAnalysisTermSet(t *testing.T) {
 	hand.TermSet = map[string]bool{"gamma": true}
 	if !hand.termSet()["gamma"] {
 		t.Error("precomputed TermSet not returned")
+	}
+}
+
+// TestAnswersCarryNoStateAcrossQuestions pins that the query path keeps
+// nothing per question: a question list answered twice on one System,
+// and once on a fresh System, yields deeply equal Results — every
+// extractor (measure, typed, temporal, numeric, definition) and the
+// harvest included. Only corpus-bound caches survive a question, and
+// they must not change what any later question sees.
+func TestAnswersCarryNoStateAcrossQuestions(t *testing.T) {
+	questions := []string{
+		"What is the weather like in January of 2004 in El Prat?",
+		"What is the temperature on the 14th of January, 2004 in Barcelona?",
+		"What is the temperature in February of 2004 in JFK?",
+		"Which country did Iraq invade in 1990?",
+		"When did Iraq invade Kuwait?",
+		"Who was the mayor of New York?",
+		"How many terms did La Guardia serve?",
+		"What percentage did inflation reach in January of 1998?",
+		"What is Sirius?",
+		"Which band played concerts in Barcelona?",
+		"Tell me about the financial crisis.",
+	}
+	run := func(sys *System) []any {
+		var out []any
+		for _, q := range questions {
+			res, err := sys.Answer(q)
+			if err != nil {
+				t.Fatalf("%q: %v", q, err)
+			}
+			out = append(out, res)
+		}
+		answers, res, err := sys.Harvest(questions[0])
+		if err != nil {
+			t.Fatalf("harvest: %v", err)
+		}
+		return append(out, answers, res)
+	}
+	sys, _ := buildSystem(t, DefaultConfig(), true)
+	first := run(sys)
+	fresh, _ := buildSystem(t, DefaultConfig(), true)
+	for name, got := range map[string][]any{"same system, second pass": run(sys), "fresh system": run(fresh)} {
+		for i := range first {
+			if !reflect.DeepEqual(got[i], first[i]) {
+				t.Errorf("%s: result %d differs from the first pass", name, i)
+			}
+		}
 	}
 }

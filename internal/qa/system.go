@@ -46,8 +46,8 @@ func DefaultConfig() Config {
 // that), and TunePatterns may interleave with them — the pattern set is
 // replaced copy-on-write so in-flight questions keep the set they started
 // with. The substrates are themselves concurrency-safe (ir.Index and
-// wordnet.WordNet use read-write locks; the document-location cache below
-// is guarded by docLocMu).
+// wordnet.WordNet use read-write locks; the two corpus-bound caches below
+// have their own locks).
 type System struct {
 	wn    *wordnet.WordNet
 	dom   *ontology.Ontology
@@ -61,30 +61,26 @@ type System struct {
 	patMu    sync.RWMutex
 	patterns []*QuestionPattern
 
+	// docLoc and cities memoise derivations that are functions of the
+	// corpus and the tuned lexicon, not of the question, so they are bound
+	// by the corpus whatever the traffic; both assume the lexicon is stable
+	// once questions are served. Everything else the extractors derive is
+	// per question (Analysis.sents) and dies with the question.
 	docLocMu sync.Mutex
 	docLoc   map[int]string // document index → first city in its header
 
-	// sentMemo memoizes every question-independent derivation over a
-	// corpus sentence — rendered text, shallow parse, extracted dates,
-	// content lemmas, first city — keyed by (document index, sentence
-	// index). These are functions of the corpus and the tuned lexicon,
-	// not the question, so the cold path computes them once per sentence
-	// instead of once per question that retrieves its passage. Same
-	// lexicon-stability assumption as docLoc above.
-	sentMu   sync.Mutex
-	sentMemo map[[2]int]*sentInfo
+	citiesMu sync.Mutex
+	cities   map[string]string // lower-cased NP name → canonical city, "" when none
 }
 
-// sentInfo carries the memoized per-sentence derivations. The entry is
-// published in the map before it is filled; the once gate lets concurrent
-// questions share one computation without holding sentMu across it.
+// sentInfo carries the question-independent derivations over one corpus
+// sentence that Module 3 reads: rendered text, shallow parse, extracted
+// dates and first city.
 type sentInfo struct {
-	once   sync.Once
 	text   string
 	blocks []sbparser.Block
 	dates  []sbparser.DateRef
-	lemmas []string // content lemmas
-	loc    string   // first city, "" when none
+	loc    string // first city, "" when none
 }
 
 // Retriever is the passage-retrieval substrate a System answers from. A
@@ -215,6 +211,7 @@ func (s *System) runModules(question string) (*Result, Timings, error) {
 	tm.Search = time.Since(t)
 	t = time.Now()
 	cands := s.extract(a, passages)
+	a.sents = nil // the per-question memo must not outlive the question
 	tm.Extract = time.Since(t)
 	return &Result{Analysis: a, Passages: passages, Candidates: cands}, tm, nil
 }
