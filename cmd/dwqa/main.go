@@ -7,11 +7,17 @@
 //
 // Usage:
 //
-//	dwqa [-seed N] [-no-ontology] [-no-irfilter] [-table-aware] [-q QUESTION]
-//	dwqa serve [-addr :8080] [-workers 8] [-cache 1024] [-no-feed]
+//	dwqa [-seed N] [-q QUESTION]
+//	dwqa serve [-seed N] [-addr :8080] [-cache 1024] [-no-feed]
 //	           [-data-dir DIR] [-snapshot-every DUR] [-shards N]
 //	           [-follow] [-poll DUR] [-quiet] [-slow-query DUR]
-//	           [-pprof ADDR] [shared flags]
+//	           [-pprof ADDR]
+//
+// The serving limits are fixed, not flags: at most dwqa.DefaultMaxInflight
+// (64) admitted requests with dwqa.DefaultMaxQueue (128) more queued
+// before a 429, a dwqa.DefaultAskTimeout (2s) deadline on /ask paths and
+// dwqa.DefaultHarvestTimeout (30s) on /harvest, the http.Server timeouts
+// below, and a 10s drain of in-flight requests at shutdown.
 //
 // With -data-dir the server is durable: on boot it recovers the
 // warehouse, passage index and ontology from the newest snapshot plus the
@@ -48,6 +54,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -61,31 +68,17 @@ import (
 	"dwqa"
 )
 
-// sharedFlags registers the pipeline flags common to both modes.
-type sharedFlags struct {
-	seed       *int64
-	noOntology *bool
-	noIRFilter *bool
-	tableAware *bool
-}
-
-func registerShared(fs *flag.FlagSet) sharedFlags {
-	return sharedFlags{
-		seed:       fs.Int64("seed", 42, "deterministic seed for scenario, corpus and workload"),
-		noOntology: fs.Bool("no-ontology", false, "ablate the shared ontology (skip Steps 2-3 enrichment)"),
-		noIRFilter: fs.Bool("no-irfilter", false, "ablate the IR filtering phase (QA scans every passage)"),
-		tableAware: fs.Bool("table-aware", false, "enable the future-work table pre-processing"),
-	}
-}
-
-func (sf sharedFlags) config() dwqa.Config {
-	cfg := dwqa.DefaultConfig()
-	cfg.Seed = *sf.seed
-	cfg.QA.UseOntology = !*sf.noOntology
-	cfg.QA.UseIRFilter = !*sf.noIRFilter
-	cfg.TableAware = *sf.tableAware
-	return cfg
-}
+// Transport limits of the serving listener and the shutdown drain
+// budget. Without the timeouts a slow or stalled client holds a
+// connection (and its kernel buffers) forever; the engine's own
+// deadlines only start once a request is fully read.
+const (
+	readHeaderTimeout = 5 * time.Second // slowloris guard
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 120 * time.Second // keep-alive connections
+	drainTimeout      = 10 * time.Second
+)
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
@@ -95,14 +88,26 @@ func main() {
 	runTrace(os.Args[1:])
 }
 
+// traceSetup is what the trace-mode flags decide.
+type traceSetup struct {
+	cfg      dwqa.Config
+	question string
+}
+
+// traceFlags registers the trace-mode flags, bound to ts.
+func traceFlags(ts *traceSetup) *flag.FlagSet {
+	fs := flag.NewFlagSet("dwqa", flag.ContinueOnError)
+	fs.Int64Var(&ts.cfg.Seed, "seed", 42, "deterministic seed for scenario, corpus and workload")
+	fs.StringVar(&ts.question, "q", "What is the weather like in January of 2004 in El Prat?", "question to trace")
+	return fs
+}
+
 // runTrace is the classic one-shot mode: integrate, trace, analyse.
 func runTrace(args []string) {
-	fs := flag.NewFlagSet("dwqa", flag.ExitOnError)
-	sf := registerShared(fs)
-	question := fs.String("q", "What is the weather like in January of 2004 in El Prat?", "question to trace")
-	_ = fs.Parse(args)
+	ts := traceSetup{cfg: dwqa.DefaultConfig()}
+	exitOnParseError(traceFlags(&ts).Parse(args))
 
-	p, err := dwqa.New(sf.config())
+	p, err := dwqa.New(ts.cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -112,7 +117,7 @@ func runTrace(args []string) {
 	}
 	fmt.Println(p.Summary())
 
-	tr, err := p.Table1(*question)
+	tr, err := p.Table1(ts.question)
 	if err != nil {
 		fatal(err)
 	}
@@ -143,54 +148,51 @@ func runTrace(args []string) {
 	fmt.Println(rep.Format())
 }
 
-// runServe integrates (or recovers) once — a single node, a sharded
-// writer or a read replica — then serves the QA side over HTTP until
-// SIGINT/SIGTERM, draining in-flight requests on the way out.
-func runServe(args []string) {
-	fs := flag.NewFlagSet("dwqa serve", flag.ExitOnError)
-	sf := registerShared(fs)
-	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "concurrent questions per batch (0 = engine default)")
-	cache := fs.Int("cache", 0, "answer-cache entries (0 = engine default, negative disables)")
-	noFeed := fs.Bool("no-feed", false, "skip the initial Step 5 feed (serve over the unfed warehouse)")
-	dataDir := fs.String("data-dir", "", "durable data directory (snapshots + write-ahead log); empty serves in-memory")
-	snapEvery := fs.Duration("snapshot-every", 0, "background snapshot interval with -data-dir (0 disables)")
-	drain := fs.Duration("drain", 10*time.Second, "in-flight request drain budget at shutdown")
-	maxInflight := fs.Int("max-inflight", dwqa.DefaultMaxInflight, "concurrently admitted requests (negative disables admission control)")
-	maxQueue := fs.Int("max-queue", dwqa.DefaultMaxQueue, "requests allowed to wait for a slot before shedding with 429 (negative disables queueing)")
-	askTimeout := fs.Duration("ask-timeout", dwqa.DefaultAskTimeout, "per-request deadline for /ask paths (negative disables)")
-	harvestTimeout := fs.Duration("harvest-timeout", dwqa.DefaultHarvestTimeout, "per-request deadline for /harvest (negative disables)")
-	shards := fs.Int("shards", 1, "partition the warehouse and index across N shards (scatter/gather serving)")
-	follow := fs.Bool("follow", false, "serve as a read replica over -data-dir: ship the leader's snapshots, tail its WAL, refuse feeds")
-	poll := fs.Duration("poll", 2*time.Second, "replica WAL poll interval with -follow")
-	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout (slowloris guard)")
-	readTimeout := fs.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout")
-	writeTimeout := fs.Duration("write-timeout", 60*time.Second, "http.Server WriteTimeout")
-	idleTimeout := fs.Duration("idle-timeout", 120*time.Second, "http.Server IdleTimeout for keep-alive connections")
-	quiet := fs.Bool("quiet", false, "suppress the per-request access log (recovered panics are still logged)")
-	slowQuery := fs.Duration("slow-query", 0, "log a per-stage breakdown for requests slower than this (0 disables; sampled to one line per second)")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
-	_ = fs.Parse(args)
+// serveSetup is what the serve flags decide: the pipeline and engine
+// configuration, the topology and the transport options.
+type serveSetup struct {
+	cfg        dwqa.Config
+	noFeed     bool
+	dataDir    string
+	snapEvery  time.Duration
+	shards     int
+	shardedDir bool // dataDir holds a sharded cluster
+	follow     bool
+	poll       time.Duration
+	opts       serveOptions
+}
 
-	cfg := sf.config()
-	cfg.Engine.Workers = *workers
-	cfg.Engine.CacheSize = *cache
-	cfg.Engine.MaxInflight = *maxInflight
-	cfg.Engine.MaxQueue = *maxQueue
-	cfg.Engine.AskTimeout = *askTimeout
-	cfg.Engine.HarvestTimeout = *harvestTimeout
+// serveFlags registers the serve flags, bound to ss.
+func serveFlags(ss *serveSetup) *flag.FlagSet {
+	fs := flag.NewFlagSet("dwqa serve", flag.ContinueOnError)
+	fs.Int64Var(&ss.cfg.Seed, "seed", 42, "deterministic seed for scenario, corpus and workload")
+	fs.StringVar(&ss.opts.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&ss.cfg.Engine.CacheSize, "cache", 0, "answer-cache entries (0 = engine default, negative disables)")
+	fs.BoolVar(&ss.noFeed, "no-feed", false, "skip the initial Step 5 feed (serve over the unfed warehouse)")
+	fs.StringVar(&ss.dataDir, "data-dir", "", "durable data directory (snapshots + write-ahead log); empty serves in-memory")
+	fs.DurationVar(&ss.snapEvery, "snapshot-every", 0, "background snapshot interval with -data-dir (0 disables)")
+	fs.IntVar(&ss.shards, "shards", 1, "partition the warehouse and index across N shards (scatter/gather serving)")
+	fs.BoolVar(&ss.follow, "follow", false, "serve as a read replica over -data-dir: ship the leader's snapshots, tail its WAL, refuse feeds")
+	fs.DurationVar(&ss.poll, "poll", 2*time.Second, "replica WAL poll interval with -follow")
+	fs.BoolVar(&ss.opts.quiet, "quiet", false, "suppress the per-request access log (recovered panics are still logged)")
+	fs.DurationVar(&ss.opts.slowQuery, "slow-query", 0, "log a per-stage breakdown for requests slower than this (0 disables; sampled to one line per second)")
+	fs.StringVar(&ss.opts.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
+	return fs
+}
 
-	opts := serveOptions{
-		addr:              *addr,
-		drain:             *drain,
-		readHeaderTimeout: *readHeaderTimeout,
-		readTimeout:       *readTimeout,
-		writeTimeout:      *writeTimeout,
-		idleTimeout:       *idleTimeout,
-		quiet:             *quiet,
-		slowQuery:         *slowQuery,
-		pprofAddr:         *pprofAddr,
+// parseServe parses and validates the serve flags and makes the serving
+// decision: the engine limits are the dwqa.Default* values.
+func parseServe(args []string) (*serveSetup, error) {
+	ss := &serveSetup{cfg: dwqa.DefaultConfig()}
+	fs := serveFlags(ss)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
+	ss.cfg.Engine.MaxInflight = dwqa.DefaultMaxInflight
+	ss.cfg.Engine.MaxQueue = dwqa.DefaultMaxQueue
+	ss.cfg.Engine.AskTimeout = dwqa.DefaultAskTimeout
+	ss.cfg.Engine.HarvestTimeout = dwqa.DefaultHarvestTimeout
+
 	// A cluster directory already knows its shard count — detect it so
 	// reopening or following never requires restating -shards, and an
 	// explicit -shards that disagrees fails here with a clear message
@@ -201,29 +203,40 @@ func runServe(args []string) {
 			shardsSet = true
 		}
 	})
-	shardedDir := false
-	if *dataDir != "" {
-		detected, err := dwqa.DetectShards(*dataDir)
+	if ss.dataDir != "" {
+		detected, err := dwqa.DetectShards(ss.dataDir)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		if detected > 0 {
-			shardedDir = true
-			if shardsSet && *shards != detected {
-				fatal(fmt.Errorf("-shards %d disagrees with %s, which was created with %d shards", *shards, *dataDir, detected))
+			ss.shardedDir = true
+			if shardsSet && ss.shards != detected {
+				return nil, fmt.Errorf("-shards %d disagrees with %s, which was created with %d shards", ss.shards, ss.dataDir, detected)
 			}
 			if !shardsSet {
-				*shards = detected
-				fmt.Printf("dwqa serve: detected %d-shard cluster in %s\n", detected, *dataDir)
+				ss.shards = detected
+				fmt.Printf("dwqa serve: detected %d-shard cluster in %s\n", detected, ss.dataDir)
 			}
 		}
 	}
-	if *shards < 1 {
-		fatal(fmt.Errorf("-shards must be at least 1, got %d", *shards))
+	if ss.shards < 1 {
+		return nil, fmt.Errorf("-shards must be at least 1, got %d", ss.shards)
 	}
-	if *follow && *dataDir == "" {
-		fatal(fmt.Errorf("-follow requires -data-dir (the leader's cluster directory)"))
+	if ss.poll <= 0 {
+		return nil, fmt.Errorf("-poll must be positive, got %s", ss.poll)
 	}
+	if ss.follow && ss.dataDir == "" {
+		return nil, fmt.Errorf("-follow requires -data-dir (the leader's cluster directory)")
+	}
+	return ss, nil
+}
+
+// runServe integrates (or recovers) once — a single node, a sharded
+// writer or a read replica — then serves the QA side over HTTP until
+// SIGINT/SIGTERM, draining in-flight requests on the way out.
+func runServe(args []string) {
+	ss, err := parseServe(args)
+	exitOnParseError(err)
 
 	// Open (or recover) the topology; everything after — the feed, the
 	// engine, background and final snapshots, closing the stores — is
@@ -236,40 +249,40 @@ func runServe(args []string) {
 		feed        func() error // the Step 5 feed; nil on a replica
 		closeStores func() error // nil in memory
 		stopTail    = func() {}  // a replica's WAL tail
-		durable     = !*follow && *dataDir != ""
+		durable     = !ss.follow && ss.dataDir != ""
 	)
 	switch {
-	case *follow:
-		replica, err := dwqa.OpenFollower(cfg, *dataDir, *shards)
+	case ss.follow:
+		replica, err := dwqa.OpenFollower(ss.cfg, ss.dataDir, ss.shards)
 		if err != nil {
 			fatal(err)
 		}
 		node = replica
-		stopTail = replica.StartTailing(*poll, func(err error) {
+		stopTail = replica.StartTailing(ss.poll, func(err error) {
 			fmt.Fprintln(os.Stderr, "dwqa serve: replica tail:", err)
 		})
-		fmt.Printf("dwqa serve: following %s (%d shards, polling every %s, read-only)\n", *dataDir, *shards, *poll)
-	case *shards != 1 || shardedDir:
+		fmt.Printf("dwqa serve: following %s (%d shards, polling every %s, read-only)\n", ss.dataDir, ss.shards, ss.poll)
+	case ss.shards != 1 || ss.shardedDir:
 		var sp *dwqa.Sharded
 		var err error
 		if durable {
 			var info *dwqa.RecoveryInfo
-			sp, info, err = dwqa.OpenSharded(cfg, *dataDir, *shards)
+			sp, info, err = dwqa.OpenSharded(ss.cfg, ss.dataDir, ss.shards)
 			if err != nil {
 				fatal(err)
 			}
 			closeStores = sp.Durable().Close
 			if info.Recovered {
 				fmt.Printf("dwqa serve: recovered %d shards from %s (%d WAL records replayed)\n",
-					*shards, *dataDir, info.WALReplayed)
+					ss.shards, ss.dataDir, info.WALReplayed)
 			} else {
 				fmt.Println("dwqa serve: fresh cluster directory, integrated and published the initial snapshots")
 			}
 		} else {
-			if sp, err = dwqa.NewSharded(cfg, *shards); err != nil {
+			if sp, err = dwqa.NewSharded(ss.cfg, ss.shards); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("dwqa serve: running the five-step integration over %d shards...\n", *shards)
+			fmt.Printf("dwqa serve: running the five-step integration over %d shards...\n", ss.shards)
 			if err := sp.Integrate(); err != nil {
 				fatal(err)
 			}
@@ -281,7 +294,7 @@ func runServe(args []string) {
 		var err error
 		if durable {
 			var info *dwqa.RecoveryInfo
-			p, info, err = dwqa.Open(cfg, *dataDir)
+			p, info, err = dwqa.Open(ss.cfg, ss.dataDir)
 			if err != nil {
 				fatal(err)
 			}
@@ -294,7 +307,7 @@ func runServe(args []string) {
 				fmt.Println("dwqa serve: fresh data dir, integrated and published the initial snapshot")
 			}
 		} else {
-			if p, err = dwqa.New(cfg); err != nil {
+			if p, err = dwqa.New(ss.cfg); err != nil {
 				fatal(err)
 			}
 			fmt.Println("dwqa serve: running the five-step integration (paper §3)...")
@@ -310,7 +323,7 @@ func runServe(args []string) {
 	// partial warehouse, and re-feeding converges on the complete one —
 	// the restored dedup state skips every record that survived, so a
 	// fully-fed recovery costs one no-op pass.
-	if feed != nil && !*noFeed {
+	if feed != nil && !ss.noFeed {
 		if durable {
 			fmt.Println("dwqa serve: running the Step 5 feed (journaled; recovered records are skipped)...")
 		}
@@ -325,14 +338,14 @@ func runServe(args []string) {
 		fatal(err)
 	}
 	stopSnapshots := func() {}
-	if durable && *snapEvery > 0 {
-		stopSnapshots = eng.SnapshotEvery(*snapEvery, func(err error) {
+	if durable && ss.snapEvery > 0 {
+		stopSnapshots = eng.SnapshotEvery(ss.snapEvery, func(err error) {
 			fmt.Fprintln(os.Stderr, "dwqa serve: background snapshot:", err)
 		})
 		defer stopSnapshots() // idempotent; safety net for the error path
 	}
 
-	opts.serve(eng, func() {
+	ss.opts.serve(eng, func() {
 		stopTail() // a replica's tail loop must stop before the cluster is abandoned
 		if durable {
 			// The background snapshotter must be fully stopped (waiting
@@ -354,34 +367,31 @@ func runServe(args []string) {
 
 // serveOptions carries the transport-level serving knobs.
 type serveOptions struct {
-	addr              string
-	drain             time.Duration
-	readHeaderTimeout time.Duration
-	readTimeout       time.Duration
-	writeTimeout      time.Duration
-	idleTimeout       time.Duration
-	quiet             bool          // -quiet: no per-request access log
-	slowQuery         time.Duration // -slow-query: per-stage breakdown threshold
-	pprofAddr         string        // -pprof: net/http/pprof listener ("" = off)
+	addr      string
+	quiet     bool          // -quiet: no per-request access log
+	slowQuery time.Duration // -slow-query: per-stage breakdown threshold
+	pprofAddr string        // -pprof: net/http/pprof listener ("" = off)
+}
+
+// server builds the serving listener over h with the transport limits.
+func (o serveOptions) server(h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              o.addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // serve listens until SIGINT/SIGTERM, drains in-flight requests, then
 // runs shutdown (final snapshots, store closes, replica tail stops).
-// Transport-level timeouts guard the listener: without them a slow or
-// stalled client holds a connection (and its kernel buffers) forever;
-// the engine's own deadlines only start once a request is fully read.
 func (o serveOptions) serve(eng *dwqa.Engine, shutdown func()) {
 	if o.slowQuery > 0 {
 		eng.SetSlowQueryLog(o.slowQuery, log.Printf)
 	}
-	srv := &http.Server{
-		Addr:              o.addr,
-		Handler:           dwqa.NewServerWith(eng, dwqa.ServerOptions{Quiet: o.quiet}),
-		ReadHeaderTimeout: o.readHeaderTimeout,
-		ReadTimeout:       o.readTimeout,
-		WriteTimeout:      o.writeTimeout,
-		IdleTimeout:       o.idleTimeout,
-	}
+	srv := o.server(dwqa.NewServerWith(eng, dwqa.ServerOptions{Quiet: o.quiet}))
 	if o.pprofAddr != "" {
 		// The profiler gets its own mux and listener so profiling is
 		// never exposed on the serving address.
@@ -413,7 +423,7 @@ func (o serveOptions) serve(eng *dwqa.Engine, shutdown func()) {
 	case <-ctx.Done():
 		stop() // restore default signal handling: a second signal kills hard
 		fmt.Println("dwqa serve: shutting down, draining in-flight requests...")
-		drainCtx, cancel := context.WithTimeout(context.Background(), o.drain)
+		drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(drainCtx); err != nil {
 			fmt.Fprintln(os.Stderr, "dwqa serve: drain:", err)
@@ -422,6 +432,16 @@ func (o serveOptions) serve(eng *dwqa.Engine, shutdown func()) {
 			shutdown()
 		}
 		fmt.Println("dwqa serve: bye")
+	}
+}
+
+// exitOnParseError exits 0 after -h and 1 on any other flag error.
+func exitOnParseError(err error) {
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fatal(err)
 	}
 }
 

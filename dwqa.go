@@ -78,7 +78,8 @@ type BIReport = bi.Report
 type Engine = engine.Engine
 
 // EngineConfig sizes the serving layer (worker count, answer-cache
-// capacity); set it on Config.Engine before New.
+// capacity, admission and deadline limits); set it on Config.Engine
+// before New. A limit ≤ 0 is off, so the zero value serves unlimited.
 type EngineConfig = engine.Config
 
 // AskResult is one slot of a batched AskAll call: the result (or error)
@@ -105,8 +106,7 @@ var ErrFactoid = nl2olap.ErrFactoid
 type HarvestResult = engine.HarvestResult
 
 // Serving resilience defaults (engine package, DESIGN.md §8): the
-// admission-gate sizing and per-request deadlines `dwqa serve` applies
-// unless overridden by flag.
+// admission-gate sizing and per-request deadlines `dwqa serve` applies.
 const (
 	DefaultMaxInflight    = engine.DefaultMaxInflight
 	DefaultMaxQueue       = engine.DefaultMaxQueue

@@ -11,56 +11,12 @@ import (
 	"dwqa/internal/uml2onto"
 )
 
-// Micro-benchmarks of what the serving benchmark in bench/ cannot
-// isolate: the compiled OLAP engine against its retained reference
-// (checked for equality before anything is timed), and index residency
-// at a corpus size bench/ does not seed. The sparse-vs-dense retrieval
-// benchmarks live with the IR oracle in internal/ir (scaled_test.go).
+// Micro-benchmark of what the serving benchmark in bench/ cannot
+// isolate: index residency at a corpus size bench/ does not seed. The
+// compiled-vs-reference OLAP and sparse-vs-dense retrieval benchmarks
+// live with their oracles in internal/dw and internal/ir (scaled_test.go).
 //
-//	go test -run '^$' -bench OLAPExecute -benchmem ./internal/core
 //	DWQA_BENCH_1M=1 go test -run '^$' -bench Footprint1M -benchtime 1x ./internal/core
-
-// benchOLAPExecute times the compiled columnar engine against the
-// row-at-a-time ExecuteReference over one generated warehouse.
-func benchOLAPExecute(b *testing.B, targetRows int) {
-	wh, err := BuildScaledWarehouse(targetRows, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := ScaledOLAPQuery()
-	got, err := wh.Execute(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	want, err := wh.ExecuteReference(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := ResultsAlmostEqual(got, want); err != nil {
-		b.Fatalf("engines diverge over %d rows: %v", wh.FactCount("LastMinuteSales"), err)
-	}
-	b.Logf("fact rows: %d", wh.FactCount("LastMinuteSales"))
-	b.Run("compiled", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			if _, err := wh.Execute(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			if _, err := wh.ExecuteReference(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkOLAPExecute1k(b *testing.B)   { benchOLAPExecute(b, 1_000) }
-func BenchmarkOLAPExecute10k(b *testing.B)  { benchOLAPExecute(b, 10_000) }
-func BenchmarkOLAPExecute100k(b *testing.B) { benchOLAPExecute(b, 100_000) }
 
 // BenchmarkFootprint1M is the gated large-corpus tier: snapshot restore
 // of a 1M-passage index, then resident memory with one restored state

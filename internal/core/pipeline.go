@@ -59,11 +59,10 @@ type Config struct {
 	// Engine sizes the concurrent serving layer returned by
 	// Pipeline.Engine (worker count, answer-cache capacity, admission
 	// and deadline limits). The zero value selects the engine sizing
-	// defaults but DISABLES admission control and default deadlines:
-	// the pipeline is the library surface, where batches are as large
-	// as the caller wants, and serving limits are the serving command's
-	// decision (cmd/dwqa serve sets them from flags). Set the fields
-	// explicitly to opt limits in.
+	// defaults and leaves every limit off — a limit ≤ 0 is off at every
+	// layer — so library callers, whose batches are as large as they
+	// want, are never shed or timed out. Serving limits are the serving
+	// command's decision (cmd/dwqa serve sets the Default* values).
 	Engine engine.Config
 }
 
@@ -473,25 +472,11 @@ type engineParts struct {
 	recovery *store.RecoveryInfo
 }
 
-// newEngine assembles the serving engine of either topology: library-mode
-// limits, the default harvest, the analytic path and — when durable — the
-// persistence seam with every store's WAL latency reported into the
-// engine's registry.
+// newEngine assembles the serving engine of either topology: the default
+// harvest, the analytic path and — when durable — the persistence seam
+// with every store's WAL latency reported into the engine's registry.
 func newEngine(cfg Config, parts engineParts) (*engine.Engine, error) {
-	// Library mode: unset limits stay off (see Config.Engine) so bulk
-	// callers — evaluation sweeps, corpus benchmarks — are never shed
-	// or timed out by serving defaults they did not choose.
-	ecfg := cfg.Engine
-	if ecfg.MaxInflight == 0 {
-		ecfg.MaxInflight = -1
-	}
-	if ecfg.AskTimeout == 0 {
-		ecfg.AskTimeout = -1
-	}
-	if ecfg.HarvestTimeout == 0 {
-		ecfg.HarvestTimeout = -1
-	}
-	eng, err := engine.New(ecfg, parts.ask, parts.harvester, parts.loader, parts.corpus)
+	eng, err := engine.New(cfg.Engine, parts.ask, parts.harvester, parts.loader, parts.corpus)
 	if err != nil {
 		return nil, err
 	}

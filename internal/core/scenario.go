@@ -291,38 +291,6 @@ func ScaledOLAPQuery() dw.Query {
 	}
 }
 
-// ResultsAlmostEqual compares two OLAP results: groups and per-row fact
-// counts must match exactly, aggregate values within a small relative
-// tolerance. The slack absorbs float association differences between the
-// compiled engine's chunk-merged sums and the reference engine's
-// sequential sums over non-integer measures (the dw equivalence tests use
-// integer measures and assert byte identity; at benchmark scale the prices
-// have cents). Returns nil when equivalent.
-func ResultsAlmostEqual(a, b *dw.Result) error {
-	if len(a.Rows) != len(b.Rows) {
-		return fmt.Errorf("row counts differ: %d vs %d", len(a.Rows), len(b.Rows))
-	}
-	for i := range a.Rows {
-		ra, rb := a.Rows[i], b.Rows[i]
-		if len(ra.Groups) != len(rb.Groups) {
-			return fmt.Errorf("row %d: group arity differs", i)
-		}
-		for g := range ra.Groups {
-			if ra.Groups[g] != rb.Groups[g] {
-				return fmt.Errorf("row %d: groups differ: %v vs %v", i, ra.Groups, rb.Groups)
-			}
-		}
-		if ra.Count != rb.Count {
-			return fmt.Errorf("row %d %v: counts differ: %d vs %d", i, ra.Groups, ra.Count, rb.Count)
-		}
-		tol := 1e-9 * math.Max(1, math.Max(math.Abs(ra.Value), math.Abs(rb.Value)))
-		if math.Abs(ra.Value-rb.Value) > tol {
-			return fmt.Errorf("row %d %v: values differ: %v vs %v", i, ra.Groups, ra.Value, rb.Value)
-		}
-	}
-	return nil
-}
-
 // BuildScaledWarehouse returns a Figure 1 warehouse whose LastMinuteSales
 // fact holds at least targetRows rows, by probing the unscaled generator
 // once and then re-running it with the demand multiplier that reaches the

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"strings"
-	"testing"
-
-	"dwqa/internal/dw"
-)
+import "testing"
 
 // TestBuildScaledWarehouseReachesTarget pins the scale search: a target
 // above the unscaled generator's row count forces the demand multiplier
@@ -35,42 +30,5 @@ func TestBuildScaledWarehouseReachesTarget(t *testing.T) {
 	}
 	if got, want := again.FactCount("LastMinuteSales"), wh.FactCount("LastMinuteSales"); got != want {
 		t.Fatalf("same seed built %d rows then %d", want, got)
-	}
-}
-
-// TestResultsAlmostEqual pins the benchmark comparator: exact matches
-// and within-tolerance float drift pass; every structural or numeric
-// mismatch is reported with the offending row.
-func TestResultsAlmostEqual(t *testing.T) {
-	base := func() *dw.Result {
-		return &dw.Result{Rows: []dw.Row{
-			{Groups: []string{"Spain", "January"}, Value: 1234.56, Count: 7},
-			{Groups: []string{"USA", "January"}, Value: 99.5, Count: 2},
-		}}
-	}
-
-	if err := ResultsAlmostEqual(base(), base()); err != nil {
-		t.Fatalf("identical results reported unequal: %v", err)
-	}
-	drift := base()
-	drift.Rows[0].Value += 1e-10 // inside the relative tolerance
-	if err := ResultsAlmostEqual(base(), drift); err != nil {
-		t.Fatalf("within-tolerance drift reported unequal: %v", err)
-	}
-
-	for name, mutate := range map[string]func(*dw.Result){
-		"row count":   func(r *dw.Result) { r.Rows = r.Rows[:1] },
-		"group arity": func(r *dw.Result) { r.Rows[1].Groups = r.Rows[1].Groups[:1] },
-		"group name":  func(r *dw.Result) { r.Rows[1].Groups[0] = "Italy" },
-		"count":       func(r *dw.Result) { r.Rows[0].Count++ },
-		"value":       func(r *dw.Result) { r.Rows[0].Value += 0.01 },
-	} {
-		t.Run(strings.ReplaceAll(name, " ", "-"), func(t *testing.T) {
-			mutated := base()
-			mutate(mutated)
-			if err := ResultsAlmostEqual(base(), mutated); err == nil {
-				t.Fatalf("%s mismatch went undetected", name)
-			}
-		})
 	}
 }

@@ -362,18 +362,6 @@ func (p *plan) run() *partial {
 	return total
 }
 
-// materialize turns the aggregate table into a sorted Result, decoding each
-// composite key back into member names.
-func (p *plan) materialize(pt *partial) *Result {
-	cells := p.materializeCells(pt)
-	res := &Result{Query: p.q}
-	for i := range cells {
-		c := &cells[i]
-		res.Rows = append(res.Rows, Row{Groups: c.Groups, Value: finalValue(p.q.Agg, c), Count: c.Count})
-	}
-	return res
-}
-
 // materializeCells decodes the aggregate table into name-keyed raw cells
 // — sorted by group names and coalesced — without applying the final
 // aggregation. Execute finalises them directly; a sharded deployment

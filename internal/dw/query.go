@@ -120,57 +120,22 @@ func (w *Warehouse) Validate(q Query) error {
 // Execute runs an OLAP query against the warehouse using the compiled
 // columnar engine: roles, levels and filters are resolved once into a plan
 // whose scan is pure array indexing over the fact columns, parallelised
-// across row chunks (see plan.go).
+// across row chunks (see plan.go). It is ExecuteCells plus the
+// finalisation MergeCells applies (scatter.go).
 func (w *Warehouse) Execute(q Query) (*Result, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	fd, roleDim, err := w.validateLocked(q)
+	cells, err := w.ExecuteCells(q)
 	if err != nil {
 		return nil, err
 	}
-	p := w.compilePlanLocked(q, fd, roleDim)
-	if p.overflow {
-		// The composite group-key space exceeds uint64; integer keys would
-		// wrap and merge distinct groups. Pathological (the product of the
-		// grouped level cardinalities must top 2^64) but not impossible,
-		// so take the string-keyed reference scan instead of answering
-		// wrong.
-		return w.referenceScanLocked(q, fd, roleDim), nil
-	}
-	return p.materialize(p.run()), nil
+	return finalize(q, cells), nil
 }
 
-// ExecuteReference runs the same query with the retained row-at-a-time
-// engine: per-row roll-up walks, string group keys, map accumulators. It is
-// the correctness oracle for the compiled engine (the equivalence tests
-// assert byte-identical formatted output) and the baseline the scaling
-// benchmarks measure against.
-func (w *Warehouse) ExecuteReference(q Query) (*Result, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	fd, roleDim, err := w.validateLocked(q)
-	if err != nil {
-		return nil, err
-	}
-	return w.referenceScanLocked(q, fd, roleDim), nil
-}
-
-// referenceScanLocked is the row-at-a-time scan shared by
-// ExecuteReference and Execute's key-space-overflow fallback. Callers must
-// hold w.mu and have validated the query.
-func (w *Warehouse) referenceScanLocked(q Query, fd *factData, roleDim map[string]string) *Result {
-	cells := w.referenceCellsLocked(q, fd, roleDim)
-	res := &Result{Query: q}
-	for i := range cells {
-		c := &cells[i]
-		res.Rows = append(res.Rows, Row{Groups: c.Groups, Value: finalValue(q.Agg, c), Count: c.Count})
-	}
-	return res
-}
-
-// referenceCellsLocked is referenceScanLocked minus the final aggregation:
-// the raw per-group cells, sorted by NUL-joined group names. It backs both
-// the single-warehouse reference result and ExecuteCells' overflow path.
+// referenceCellsLocked is the row-at-a-time scan: per-row roll-up walks,
+// string group keys, map accumulators. It returns the raw per-group
+// cells, sorted by NUL-joined group names, and is ExecuteCells' path when
+// the composite group-key space overflows uint64 (and, in the tests, the
+// oracle the compiled engine is checked against). Callers must hold w.mu
+// and have validated the query.
 func (w *Warehouse) referenceCellsLocked(q Query, fd *factData, roleDim map[string]string) []CellRow {
 	type compiledFilter struct {
 		role, level string

@@ -43,8 +43,7 @@ func (c *CellRow) merge(o CellRow) {
 // ExecuteCells runs a query like Execute but stops before the final
 // aggregation: it returns the per-group raw aggregates, sorted by group
 // names and coalesced (one cell per distinct name tuple) — the shard
-// half of scatter/gather. Execute is exactly ExecuteCells + the
-// finalisation MergeCells performs over a single partial.
+// half of scatter/gather.
 func (w *Warehouse) ExecuteCells(q Query) ([]CellRow, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -54,6 +53,11 @@ func (w *Warehouse) ExecuteCells(q Query) ([]CellRow, error) {
 	}
 	p := w.compilePlanLocked(q, fd, roleDim)
 	if p.overflow {
+		// The composite group-key space exceeds uint64; integer keys would
+		// wrap and merge distinct groups. Pathological (the product of the
+		// grouped level cardinalities must top 2^64) but not impossible,
+		// so take the string-keyed row-at-a-time scan instead of
+		// answering wrong.
 		return w.referenceCellsLocked(q, fd, roleDim), nil
 	}
 	return p.materializeCells(p.run()), nil
@@ -86,9 +90,20 @@ func MergeCells(q Query, parts [][]CellRow) *Result {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	cells := make([]CellRow, len(keys))
+	for i, k := range keys {
+		cells[i] = *merged[k]
+	}
+	return finalize(q, cells)
+}
+
+// finalize builds the Result rows from sorted, coalesced cells, applying
+// the query's Agg to each — the one place every engine in this package
+// turns raw aggregates into answers.
+func finalize(q Query, cells []CellRow) *Result {
 	res := &Result{Query: q}
-	for _, k := range keys {
-		c := merged[k]
+	for i := range cells {
+		c := &cells[i]
 		res.Rows = append(res.Rows, Row{Groups: c.Groups, Value: finalValue(q.Agg, c), Count: c.Count})
 	}
 	return res

@@ -18,7 +18,7 @@ import (
 func BenchmarkAskShedding(b *testing.B) {
 	p := newPipeline(b)
 	eng, err := engine.New(engine.Config{
-		MaxInflight: 1, MaxQueue: -1, AskTimeout: -1, CacheSize: -1,
+		MaxInflight: 1, CacheSize: -1,
 	}, p.QA, nil, nil, p.Index)
 	if err != nil {
 		b.Fatal(err)
@@ -104,7 +104,7 @@ func BenchmarkCacheFeedInvalidation(b *testing.B) {
 // BenchmarkAskAdmission isolates the per-request cost of the resilience
 // plumbing — gate acquire/release, deadline context construction, expiry
 // bookkeeping — by running the same trivial answer function with the
-// serving limits on (defaults) and off (library mode). The delta between
+// serving limits on (the dwqa serve values) and off (the zero Config). The delta between
 // the two arms is the admission overhead PERF.md's ≤5% cold-path budget
 // refers to; on the cold path that delta is buried under milliseconds of
 // question analysis and retrieval.
@@ -115,8 +115,10 @@ func BenchmarkAskAdmission(b *testing.B) {
 		name string
 		cfg  engine.Config
 	}{
-		{"limits-on", engine.Config{CacheSize: -1}},
-		{"limits-off", engine.Config{CacheSize: -1, MaxInflight: -1, AskTimeout: -1}},
+		{"limits-on", engine.Config{CacheSize: -1,
+			MaxInflight: engine.DefaultMaxInflight, MaxQueue: engine.DefaultMaxQueue,
+			AskTimeout: engine.DefaultAskTimeout, HarvestTimeout: engine.DefaultHarvestTimeout}},
+		{"limits-off", engine.Config{CacheSize: -1}},
 	} {
 		b.Run(bm.name, func(b *testing.B) {
 			eng, err := engine.New(bm.cfg, p.QA, nil, nil, p.Index)

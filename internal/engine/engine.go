@@ -51,15 +51,19 @@ const (
 	DefaultCacheSize = 1024
 )
 
-// Default per-request deadlines, applied when the caller's context has
-// none. Interactive asks get a tight budget; harvests run a full
+// Serving per-request deadlines (dwqa serve sets them; see Config).
+// Interactive asks get a tight budget; harvests run a full
 // retrieve-extract-load cycle per question and get a generous one.
 const (
 	DefaultAskTimeout     = 2 * time.Second
 	DefaultHarvestTimeout = 30 * time.Second
 )
 
-// Config sizes an Engine.
+// Config sizes an Engine. The four limits — MaxInflight, MaxQueue,
+// AskTimeout, HarvestTimeout — share one meaning: zero or less is off,
+// a positive value is the limit. The zero Config therefore serves with
+// no admission control and no default deadlines; the serving command
+// opts in to the Default* values.
 type Config struct {
 	// Workers is the number of questions processed in parallel per batch.
 	// Zero or less selects DefaultWorkers.
@@ -68,20 +72,16 @@ type Config struct {
 	// DefaultCacheSize; a negative value disables caching.
 	CacheSize int
 	// MaxInflight bounds concurrently admitted requests (ask and harvest
-	// batches each count as one). Zero selects DefaultMaxInflight; a
-	// negative value disables admission control.
+	// batches each count as one); ≤ 0 disables admission control.
 	MaxInflight int
 	// MaxQueue bounds how many requests may wait for an inflight slot
-	// before new arrivals are shed with ErrShed. Zero selects
-	// DefaultMaxQueue; a negative value disables queueing (immediate
-	// shed once MaxInflight requests are running).
+	// before new arrivals are shed with ErrShed; ≤ 0 means no queue
+	// (immediate shed once MaxInflight requests are running).
 	MaxQueue int
 	// AskTimeout is the deadline applied to Ask/AskAll/AskOLAP/Trace
-	// requests whose context carries none. Zero selects
-	// DefaultAskTimeout; a negative value disables the default deadline.
+	// requests whose context carries none; ≤ 0 applies none.
 	AskTimeout time.Duration
-	// HarvestTimeout is the same for HarvestAll. Zero selects
-	// DefaultHarvestTimeout; negative disables.
+	// HarvestTimeout is the same for HarvestAll.
 	HarvestTimeout time.Duration
 }
 
@@ -210,14 +210,6 @@ func New(cfg Config, ask, harvester *qa.System, loader *etl.Loader, index Corpus
 	if cacheSize == 0 {
 		cacheSize = DefaultCacheSize
 	}
-	askTimeout := cfg.AskTimeout
-	if askTimeout == 0 {
-		askTimeout = DefaultAskTimeout
-	}
-	harvestTimeout := cfg.HarvestTimeout
-	if harvestTimeout == 0 {
-		harvestTimeout = DefaultHarvestTimeout
-	}
 	met := newEngineMetrics()
 	// The cache and gate count on the registry's counters directly, so
 	// Stats and /metrics read the same cells.
@@ -231,8 +223,8 @@ func New(cfg Config, ask, harvester *qa.System, loader *etl.Loader, index Corpus
 		cache:          cache,
 		workers:        workers,
 		gate:           newGate(cfg.MaxInflight, cfg.MaxQueue, met.shedTotal, met.queueWait),
-		askTimeout:     askTimeout,
-		harvestTimeout: harvestTimeout,
+		askTimeout:     cfg.AskTimeout,
+		harvestTimeout: cfg.HarvestTimeout,
 		met:            met,
 		answerFn:       ask.AnswerTimed,
 		harvestFn:      harvester.HarvestTimed,

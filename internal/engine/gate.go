@@ -21,7 +21,7 @@ import (
 // queue is cheaper for everyone as an instant 429 the client can back
 // off from and retry.
 
-// Default admission sizing. MaxInflight is deliberately larger than the
+// Serving admission sizing (dwqa serve sets it; see Config). MaxInflight is deliberately larger than the
 // worker pool (requests also spend time in coalescing, cache hits and
 // encoding), and the queue absorbs short arrival bursts without letting
 // a sustained overload build unbounded latency.
@@ -53,24 +53,15 @@ type gate struct {
 }
 
 // newGate builds a gate admitting maxInflight concurrent requests with a
-// wait queue of maxQueue. maxInflight < 0 disables admission control;
-// maxQueue < 0 means no queue (immediate shed once saturated).
+// wait queue of maxQueue. maxInflight ≤ 0 disables admission control;
+// maxQueue ≤ 0 means no queue (immediate shed once saturated).
 func newGate(maxInflight, maxQueue int, shed *obs.Counter, queueWait *obs.Histogram) *gate {
 	g := &gate{shed: shed, queueWait: queueWait}
-	if maxInflight < 0 {
+	if maxInflight <= 0 {
 		return g
 	}
-	if maxInflight == 0 {
-		maxInflight = DefaultMaxInflight
-	}
-	if maxQueue == 0 {
-		maxQueue = DefaultMaxQueue
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
 	g.slots = make(chan struct{}, maxInflight)
-	g.maxQueue = int64(maxQueue)
+	g.maxQueue = int64(max(maxQueue, 0))
 	return g
 }
 

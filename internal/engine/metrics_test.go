@@ -55,7 +55,7 @@ func scrape(t *testing.T, h http.Handler) string {
 // latency histograms, the cache counters, the resilience counters and
 // the live gauges — the same cells Stats()/healthz reads.
 func TestMetricsExposition(t *testing.T) {
-	p, eng := newEngine(t, engine.Config{AskTimeout: -1})
+	p, eng := newEngine(t, engine.Config{})
 	srv := engine.NewServer(eng)
 	q := p.WeatherQuestions()[0]
 
@@ -122,7 +122,7 @@ func TestMetricsZeroConfigObserves(t *testing.T) {
 // crosses it and checks the sampled line carries the per-stage
 // breakdown, the outcome and the question.
 func TestSlowQueryLog(t *testing.T) {
-	p, eng := newEngine(t, engine.Config{AskTimeout: -1})
+	p, eng := newEngine(t, engine.Config{})
 	q := p.WeatherQuestions()[0]
 
 	var slow logCapture
@@ -154,7 +154,7 @@ func TestSlowQueryLog(t *testing.T) {
 // TestAccessLog checks the structured per-request line: request id,
 // method, path, status and the shared outcome vocabulary.
 func TestAccessLog(t *testing.T) {
-	_, eng := newEngine(t, engine.Config{AskTimeout: -1})
+	_, eng := newEngine(t, engine.Config{})
 	var access logCapture
 	srv := engine.NewServerWith(eng, engine.ServerOptions{Logf: access.logf})
 
@@ -196,7 +196,7 @@ func TestAccessLog(t *testing.T) {
 // TestShardReplicaGauges installs a replication reporter and checks the
 // per-shard seq/lag gauges read it at scrape time.
 func TestShardReplicaGauges(t *testing.T) {
-	_, eng := newEngine(t, engine.Config{AskTimeout: -1})
+	_, eng := newEngine(t, engine.Config{})
 	stats := []engine.ShardStat{{Shard: 0, Seq: 42, Lag: 3}, {Shard: 1, Seq: 40, Lag: 5}}
 	eng.SetShardStats(func() []engine.ShardStat { return stats })
 
@@ -226,10 +226,10 @@ func TestShardReplicaGauges(t *testing.T) {
 // reporter shrank below the registered shard count reads 0 instead of
 // indexing past the end.
 func TestMetricsEdgeGauges(t *testing.T) {
-	p, eng := newEngine(t, engine.Config{AskTimeout: -1})
+	p, eng := newEngine(t, engine.Config{})
 	srv := engine.NewServer(eng)
 
-	bare, err := engine.New(engine.Config{AskTimeout: -1}, p.QA, nil, nil, nil)
+	bare, err := engine.New(engine.Config{}, p.QA, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

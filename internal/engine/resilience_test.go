@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func newEngine(t *testing.T, cfg engine.Config) (*core.Pipeline, *engine.Engine)
 // asked the poisoned question; the rest of the batch answers normally and
 // the process survives.
 func TestAskPanicIsolation(t *testing.T) {
-	p, eng := newEngine(t, engine.Config{AskTimeout: -1})
+	p, eng := newEngine(t, engine.Config{})
 	real := p.QA.Answer
 	eng.SetAnswerFnForTest(func(q string) (*qa.Result, error) {
 		if strings.Contains(q, "BOOM") {
@@ -112,7 +113,7 @@ func blockingAnswer(started chan<- struct{}, release <-chan struct{}) func(strin
 // TestAskShedding: with one inflight slot and no queue, a second request
 // is shed immediately with ErrShed and counted.
 func TestAskShedding(t *testing.T) {
-	_, eng := newEngine(t, engine.Config{MaxInflight: 1, MaxQueue: -1, AskTimeout: -1, CacheSize: -1})
+	_, eng := newEngine(t, engine.Config{MaxInflight: 1, CacheSize: -1})
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	eng.SetAnswerFnForTest(blockingAnswer(started, release))
@@ -151,7 +152,7 @@ func TestAskShedding(t *testing.T) {
 // TestAskQueueTimeout: a queued request gives up with DeadlineExceeded
 // when its deadline expires before a slot frees.
 func TestAskQueueTimeout(t *testing.T) {
-	_, eng := newEngine(t, engine.Config{MaxInflight: 1, MaxQueue: 4, AskTimeout: -1, CacheSize: -1})
+	_, eng := newEngine(t, engine.Config{MaxInflight: 1, MaxQueue: 4, CacheSize: -1})
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	eng.SetAnswerFnForTest(blockingAnswer(started, release))
@@ -181,7 +182,7 @@ func TestAskQueueTimeout(t *testing.T) {
 // the answers finished in time and marks the rest per item — never an
 // all-or-nothing failure.
 func TestAskAllDeadlinePartial(t *testing.T) {
-	_, eng := newEngine(t, engine.Config{Workers: 1, AskTimeout: -1, CacheSize: -1})
+	_, eng := newEngine(t, engine.Config{Workers: 1, CacheSize: -1})
 	var mu sync.Mutex
 	answered := 0
 	eng.SetAnswerFnForTest(func(q string) (*qa.Result, error) {
@@ -218,6 +219,68 @@ func TestAskAllDeadlinePartial(t *testing.T) {
 	}
 	if st := eng.Stats(); st.TimeoutTotal == 0 {
 		t.Error("TimeoutTotal should count the expired batch")
+	}
+}
+
+// TestZeroConfigLimitsOff pins the zero meaning of the engine limits:
+// engine.Config{} admits more concurrent asks than DefaultMaxInflight
+// plus DefaultMaxQueue without shedding or queueing, and applies no
+// default deadline — a batch task that starts after DefaultAskTimeout
+// still answers.
+func TestZeroConfigLimitsOff(t *testing.T) {
+	_, eng := newEngine(t, engine.Config{})
+	const asks = engine.DefaultMaxInflight + engine.DefaultMaxQueue + 8
+	started := make(chan struct{}, asks+engine.DefaultWorkers)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(releaseAll) // a failed wait must not strand the askers
+	eng.SetAnswerFnForTest(blockingAnswer(started, release))
+
+	// One batch with one task more than the worker pool: its last task
+	// only starts once the first ones are released, after the wait below.
+	batch := make([]string, engine.DefaultWorkers+1)
+	for i := range batch {
+		batch[i] = fmt.Sprintf("batch question %d", i)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, asks+len(batch))
+	for i := 0; i < asks; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- eng.Ask(context.Background(), fmt.Sprintf("question %d", i)).Err
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, r := range eng.AskAll(context.Background(), batch) {
+			errs <- r.Err
+		}
+	}()
+	for i := 0; i < asks+engine.DefaultWorkers; i++ {
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d answers started (inflight %d): the zero Config must not bound admission",
+				i, asks+engine.DefaultWorkers, eng.Stats().Inflight)
+		}
+	}
+	if st := eng.Stats(); st.Inflight != asks+1 {
+		t.Errorf("Inflight = %d, want %d", st.Inflight, asks+1)
+	}
+	time.Sleep(engine.DefaultAskTimeout + 100*time.Millisecond)
+	releaseAll()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("ask failed under the zero Config: %v", err)
+		}
+	}
+	if st := eng.Stats(); st.ShedTotal != 0 || st.TimeoutTotal != 0 {
+		t.Errorf("ShedTotal = %d, TimeoutTotal = %d; want 0 and 0", st.ShedTotal, st.TimeoutTotal)
 	}
 }
 

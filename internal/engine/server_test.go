@@ -90,7 +90,7 @@ func TestServerHealthz(t *testing.T) {
 // hint, and /healthz counts the shed.
 func TestServerSheds(t *testing.T) {
 	p := newPipeline(t)
-	eng, err := engine.New(engine.Config{MaxInflight: 1, MaxQueue: -1, AskTimeout: -1, CacheSize: -1},
+	eng, err := engine.New(engine.Config{MaxInflight: 1, CacheSize: -1},
 		p.QA, nil, nil, p.Index)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestServerRetryAfterScalesWithQueueDepth(t *testing.T) {
 	}
 
 	// One slot busy, no queue: the work ahead drains in one wave.
-	shallow := shedHint(-1, 0, int(askTimeout/time.Second))
+	shallow := shedHint(0, 0, int(askTimeout/time.Second))
 	// One slot busy, three queued: four waves of one-slot drains ahead.
 	deep := shedHint(3, 3, 4*int(askTimeout/time.Second))
 	if shallow != int(askTimeout/time.Second) {
@@ -275,7 +275,7 @@ func TestServerDeadline504(t *testing.T) {
 // only; the server keeps serving.
 func TestServerPanic500(t *testing.T) {
 	p := newPipeline(t)
-	eng, err := engine.New(engine.Config{AskTimeout: -1}, p.QA, nil, nil, p.Index)
+	eng, err := engine.New(engine.Config{}, p.QA, nil, nil, p.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestServerDegraded503(t *testing.T) {
 // balancer pull the replica) while /ask keeps answering 200.
 func TestServerReadOnlyReplica403(t *testing.T) {
 	p := newPipeline(t)
-	eng, err := engine.New(engine.Config{AskTimeout: -1}, p.QA, nil, nil, p.Index)
+	eng, err := engine.New(engine.Config{}, p.QA, nil, nil, p.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
