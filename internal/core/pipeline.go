@@ -446,7 +446,7 @@ func (p *Pipeline) Engine() (*engine.Engine, error) {
 		return nil, err
 	}
 	parts := engineParts{ask: p.QA, harvester: harvester, loader: p.Loader, corpus: p.Index,
-		trans: trans, harvest: p.WeatherQuestions()}
+		warehouse: p.Warehouse, trans: trans, harvest: p.WeatherQuestions()}
 	if p.st != nil {
 		parts.snap, parts.stores, parts.recovery = p, []*store.Store{p.st}, p.recovery
 	}
@@ -463,8 +463,11 @@ type engineParts struct {
 	ask, harvester *qa.System
 	loader         *etl.Loader // nil: the engine refuses feeds
 	corpus         engine.CorpusStats
-	trans          *nl2olap.Translator
-	harvest        []string // the default /harvest workload
+	// warehouse takes the dw work counters: the single warehouse, or
+	// the cluster, which hands them to every shard's.
+	warehouse interface{ SetMetrics(dw.Metrics) }
+	trans     *nl2olap.Translator
+	harvest   []string // the default /harvest workload
 	// The persistence seam (nil in memory), the stores behind it and
 	// what boot recovered.
 	snap     engine.Snapshotter
@@ -473,14 +476,22 @@ type engineParts struct {
 }
 
 // newEngine assembles the serving engine of either topology: the default
-// harvest, the analytic path and — when durable — the persistence seam
-// with every store's WAL latency reported into the engine's registry.
+// harvest, the analytic path with the warehouse's work counters on the
+// engine's registry and — when durable — the persistence seam with every
+// store's WAL latency reported into the same registry.
 func newEngine(cfg Config, parts engineParts) (*engine.Engine, error) {
 	eng, err := engine.New(cfg.Engine, parts.ask, parts.harvester, parts.loader, parts.corpus)
 	if err != nil {
 		return nil, err
 	}
 	eng.SetDefaultHarvest(parts.harvest)
+	reg := eng.Metrics()
+	parts.warehouse.SetMetrics(dw.Metrics{
+		RowsScanned: reg.Counter("dwqa_dw_rows_scanned_total",
+			"Fact rows the OLAP scan visited."),
+		ZonesPruned: reg.Counter("dwqa_dw_zones_pruned_total",
+			"Fact-row zones the OLAP scan skipped because no filter could match them."),
+	})
 	// The analytic path: Ask/AskAll classify every question and dispatch
 	// analytic ones to the compiled OLAP engine instead of the factoid
 	// modules (DESIGN.md §6).

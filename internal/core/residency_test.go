@@ -26,8 +26,21 @@ import (
 // (answer cache off) with the number of corpus pages seeded.
 func restoredEngine(t *testing.T, passages int) (*engine.Engine, int) {
 	t.Helper()
+	p, sum := restoredPipeline(t, seed.Config{Passages: passages})
+	eng, err := p.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, sum.PagesSeen
+}
+
+// restoredPipeline seeds a scaled-corpus directory (corpus seed 42) as
+// sc asks and boots a pipeline from its snapshot, answer cache off.
+func restoredPipeline(t *testing.T, sc seed.Config) (*core.Pipeline, *seed.Summary) {
+	t.Helper()
 	dir := t.TempDir()
-	sum, err := seed.Run(seed.Config{DataDir: dir, Passages: passages, Seed: 42})
+	sc.DataDir, sc.Seed = dir, 42
+	sum, err := seed.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +55,7 @@ func restoredEngine(t *testing.T, passages int) (*engine.Engine, int) {
 	if !info.Recovered {
 		t.Fatal("pipeline did not restore from the seeded snapshot")
 	}
-	eng, err := p.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, sum.PagesSeen
+	return p, sum
 }
 
 // coldFactoids returns n distinct day-level temperature questions over

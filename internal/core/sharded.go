@@ -192,7 +192,7 @@ func (sp *ShardedPipeline) Engine() (*engine.Engine, error) {
 		return nil, err
 	}
 	parts := engineParts{ask: sp.QA, harvester: harvester, loader: loader, corpus: sp.Cluster,
-		trans: trans, harvest: weatherQuestions(sp.Config, sp.Corpus)}
+		warehouse: sp.Cluster, trans: trans, harvest: weatherQuestions(sp.Config, sp.Corpus)}
 	if d := sp.durable; d != nil {
 		parts.snap, parts.stores, parts.recovery = d, d.Stores(), sp.recovery
 	}

@@ -2,6 +2,7 @@ package dw
 
 import (
 	"fmt"
+	"slices"
 
 	"dwqa/internal/mdm"
 )
@@ -22,7 +23,21 @@ type factData struct {
 	measures   [][]float64 // [measure column][row] measure values (0 when absent)
 	provenance map[int]string
 	rows       int
+
+	// Zone maps: the smallest and largest base key of each role column
+	// over every zoneRows-row zone (the last zone may be partial). The
+	// compiled plan skips a zone whose key range misses a filter's
+	// allowed range. They are derived from coords — kept current by
+	// appendRow and rebuilt by rebuildZones — and never stored.
+	zoneMin [][]int32 // [role column][zone]
+	zoneMax [][]int32 // [role column][zone]
 }
+
+// zoneRows is the zone-map granularity. It divides planChunkSize, so a
+// plan chunk always covers whole zones; at 512 rows a narrow
+// city-month query over the (year, city, month, day)-ordered seeded
+// facts reads one to three of their 400 zones.
+const zoneRows = 512
 
 func newFactData(class *mdm.FactClass) *factData {
 	fd := &factData{
@@ -32,6 +47,8 @@ func newFactData(class *mdm.FactClass) *factData {
 		measureIdx: make(map[string]int, len(class.Measures)),
 		coords:     make([][]int32, len(class.Dimensions)),
 		measures:   make([][]float64, len(class.Measures)),
+		zoneMin:    make([][]int32, len(class.Dimensions)),
+		zoneMax:    make([][]int32, len(class.Dimensions)),
 	}
 	for i, ref := range class.Dimensions {
 		fd.roles[i] = ref.Role
@@ -43,11 +60,21 @@ func newFactData(class *mdm.FactClass) *factData {
 	return fd
 }
 
-// appendRow appends one fact row. keys must be in role-column order and
-// vals in measure-column order.
+// appendRow appends one fact row and widens its zone's key ranges. keys
+// must be in role-column order and vals in measure-column order.
 func (fd *factData) appendRow(keys []int32, vals []float64, prov string) {
+	newZone := fd.rows%zoneRows == 0
 	for i := range fd.coords {
-		fd.coords[i] = append(fd.coords[i], keys[i])
+		k := keys[i]
+		fd.coords[i] = append(fd.coords[i], k)
+		if newZone {
+			fd.zoneMin[i] = append(fd.zoneMin[i], k)
+			fd.zoneMax[i] = append(fd.zoneMax[i], k)
+			continue
+		}
+		z := len(fd.zoneMin[i]) - 1
+		fd.zoneMin[i][z] = min(fd.zoneMin[i][z], k)
+		fd.zoneMax[i][z] = max(fd.zoneMax[i][z], k)
 	}
 	for i := range fd.measures {
 		fd.measures[i] = append(fd.measures[i], vals[i])
@@ -59,6 +86,21 @@ func (fd *factData) appendRow(keys []int32, vals []float64, prov string) {
 		fd.provenance[fd.rows] = prov
 	}
 	fd.rows++
+}
+
+// rebuildZones recomputes every zone map from the coordinate columns —
+// Import's one pass after it installs them.
+func (fd *factData) rebuildZones() {
+	nZones := (fd.rows + zoneRows - 1) / zoneRows
+	for i, col := range fd.coords {
+		zmin := make([]int32, nZones)
+		zmax := make([]int32, nZones)
+		for z := range zmin {
+			keys := col[z*zoneRows : min((z+1)*zoneRows, fd.rows)]
+			zmin[z], zmax[z] = slices.Min(keys), slices.Max(keys)
+		}
+		fd.zoneMin[i], fd.zoneMax[i] = zmin, zmax
+	}
 }
 
 // measureColumn returns the column of a measure, or nil when the fact has

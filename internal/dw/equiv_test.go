@@ -229,11 +229,12 @@ func TestUnknownNameCollision(t *testing.T) {
 	}
 }
 
-// TestGroupKeyOverflowFallsBack builds a schema whose grouped cardinality
+// TestGroupKeyOverflowRejected builds a schema whose grouped cardinality
 // product exceeds uint64 (four dimensions × 65536 members → 65537^4 keys)
-// and checks Execute detects the wrap and answers via the reference scan
-// instead of merging distinct groups.
-func TestGroupKeyOverflowFallsBack(t *testing.T) {
+// and checks Validate and Execute both reject the query instead of
+// letting composite keys wrap and merge distinct groups; three of the
+// four columns still fit.
+func TestGroupKeyOverflowRejected(t *testing.T) {
 	var dims []*mdm.DimensionClass
 	var refs []mdm.DimensionRef
 	for d := 0; d < 4; d++ {
@@ -271,16 +272,16 @@ func TestGroupKeyOverflowFallsBack(t *testing.T) {
 		{Role: "RD0", Level: "Base"}, {Role: "RD1", Level: "Base"},
 		{Role: "RD2", Level: "Base"}, {Role: "RD3", Level: "Base"},
 	}}
+	if err := w.Validate(q); err == nil {
+		t.Error("Validate accepted a group-key space beyond uint64")
+	}
+	if _, err := w.Execute(q); err == nil {
+		t.Error("Execute accepted a group-key space beyond uint64")
+	}
+	q.GroupBy = q.GroupBy[:3]
 	got, err := w.Execute(q)
 	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := w.ExecuteReference(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Format() != want.Format() {
-		t.Errorf("overflow fallback diverges\ncompiled:\n%s\nreference:\n%s", got.Format(), want.Format())
+		t.Fatalf("Execute rejected a three-column key space: %v", err)
 	}
 	if len(got.Rows) != 1 || got.Rows[0].Value != 7 {
 		t.Errorf("unexpected result: %+v", got.Rows)

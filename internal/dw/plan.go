@@ -3,6 +3,7 @@ package dw
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -110,12 +111,16 @@ type plan struct {
 	groups  []planGroup
 	filters []planFilter
 	// cells is the product of group cardinalities: the size of the dense
-	// aggregation table, or the key space of the sparse one.
+	// aggregation table, or the key space of the sparse one. Validate
+	// rejects a query whose product overflows uint64.
 	cells uint64
-	// overflow marks a key space beyond uint64: composite keys would wrap
-	// and merge distinct groups, so Execute must fall back to the
-	// reference engine's string keys.
-	overflow bool
+	// live marks the zones whose key ranges overlap every filter's
+	// allowed range; only they are scanned. Every row of a dead zone
+	// fails some filter, so skipping it changes no cell.
+	live []bool
+	// scanned counts the rows of live zones, pruned the dead zones: the
+	// plan's work counters.
+	scanned, pruned uint64
 }
 
 // planCell accumulates one group's aggregates. count==0 marks an untouched
@@ -163,7 +168,10 @@ func (c *planCell) merge(o planCell) {
 // compilePlanLocked builds the execution plan for a validated query.
 // Callers must hold w.mu.
 func (w *Warehouse) compilePlanLocked(q Query, fd *factData, roleDim map[string]string) *plan {
-	p := &plan{q: q, nRows: fd.rows, cells: 1}
+	p := &plan{q: q, nRows: fd.rows, cells: 1, live: make([]bool, (fd.rows+zoneRows-1)/zoneRows)}
+	for z := range p.live {
+		p.live[z] = true
+	}
 	if q.Agg != Count {
 		p.measure = fd.measureColumn(q.Measure)
 	}
@@ -180,9 +188,6 @@ func (w *Warehouse) compilePlanLocked(q Query, fd *factData, roleDim map[string]
 			names:  names,
 			card:   uint64(len(names)) + 1,
 		}
-		if p.cells > math.MaxUint64/pg.card {
-			p.overflow = true
-		}
 		p.cells *= pg.card
 		p.groups = append(p.groups, pg)
 	}
@@ -190,7 +195,7 @@ func (w *Warehouse) compilePlanLocked(q Query, fd *factData, roleDim map[string]
 		dim := roleDim[f.Role]
 		lt := w.dims[dim].levels[f.Level]
 		lookup := w.rollupTableLocked(dim, f.Level)
-		// slot has one extra entry: scanChunk clamps any out-of-range base
+		// slot has one extra entry: scanRows clamps any out-of-range base
 		// key (including negatives via unsigned wrap) onto it, and its
 		// value stays 0 — the sentinel slot whose bit is never set.
 		slot := make([]int32, len(lookup)+1)
@@ -211,13 +216,36 @@ func (w *Warehouse) compilePlanLocked(q Query, fd *factData, roleDim map[string]
 			slot: slot,
 			bits: bits,
 		})
+		// Zone pruning: [lo, hi] bounds the base keys the filter allows
+		// (empty when it allows none), and a zone whose key range misses
+		// it holds no row the filter passes.
+		lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
+		for k, t := range slot[:len(lookup)] {
+			if bits[t>>6]>>(t&63)&1 != 0 {
+				lo, hi = min(lo, int32(k)), int32(k)
+			}
+		}
+		ri := fd.roleIdx[f.Role]
+		for z := range p.live {
+			if fd.zoneMax[ri][z] < lo || fd.zoneMin[ri][z] > hi {
+				p.live[z] = false
+			}
+		}
+	}
+	for z, live := range p.live {
+		if live {
+			p.scanned += uint64(min((z+1)*zoneRows, fd.rows) - z*zoneRows)
+		} else {
+			p.pruned++
+		}
 	}
 	return p
 }
 
 // planChunkSize is fixed (not derived from GOMAXPROCS) so chunk boundaries
 // — and therefore the floating-point association order of the merged sums —
-// are identical on every machine and at every parallelism level.
+// are identical on every machine and at every parallelism level. It is a
+// multiple of zoneRows, so every chunk covers whole zones.
 const planChunkSize = 8192
 
 // denseCellLimit bounds the dense aggregation table; beyond it the scan
@@ -273,12 +301,22 @@ func (pt *partial) mergeFrom(o *partial) {
 	}
 }
 
-// scanChunk aggregates rows [start, end) into pt. Filter evaluation is
+// scanChunk aggregates the live zones of chunk c into pt.
+func (p *plan) scanChunk(pt *partial, c int) {
+	end := min((c+1)*planChunkSize, p.nRows)
+	for start := c * planChunkSize; start < end; start += zoneRows {
+		if p.live[start/zoneRows] {
+			p.scanRows(pt, start, min(start+zoneRows, end))
+		}
+	}
+}
+
+// scanRows aggregates rows [start, end) into pt. Filter evaluation is
 // branch-free: each filter contributes one allowed/filtered bit folded
 // into pass with mask arithmetic (the index clamp compiles to a
 // conditional move), so the row loop carries a single filter branch —
 // the final pass test — however many filters the query has.
-func (p *plan) scanChunk(pt *partial, start, end int) {
+func (p *plan) scanRows(pt *partial, start, end int) {
 	for r := start; r < end; r++ {
 		pass := uint64(1)
 		for fi := range p.filters {
@@ -314,42 +352,43 @@ func (p *plan) scanChunk(pt *partial, start, end int) {
 	}
 }
 
-// run executes the plan: the scan is split into fixed-size chunks
-// processed in waves of up to GOMAXPROCS workers, and each wave's partial
-// aggregates are merged into the accumulator in chunk order before the
-// next wave starts — so at most GOMAXPROCS partials are ever live, and the
-// per-cell float association order is the chunk order, which keeps the
-// result bit-for-bit deterministic regardless of scheduling or core count.
+// run executes the plan: the scan is split into fixed-size chunks, and
+// the chunks holding a live zone are processed in waves of up to
+// GOMAXPROCS workers. Each wave's partial aggregates are merged into the
+// accumulator in chunk order before the next wave starts — so at most
+// GOMAXPROCS partials are ever live, and the per-cell float association
+// order is the chunk order, which keeps the result bit-for-bit
+// deterministic regardless of scheduling or core count. A chunk with no
+// live zone would have merged an empty partial, so skipping it changes
+// nothing.
 func (p *plan) run() *partial {
-	nChunks := (p.nRows + planChunkSize - 1) / planChunkSize
-	if nChunks <= 1 {
-		pt := newPartial(p.cells, denseCellLimit)
-		p.scanChunk(pt, 0, p.nRows)
-		return pt
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nChunks {
-		workers = nChunks
+	const zonesPerChunk = planChunkSize / zoneRows
+	var chunks []int
+	for z0 := 0; z0 < len(p.live); z0 += zonesPerChunk {
+		if slices.Contains(p.live[z0:min(z0+zonesPerChunk, len(p.live))], true) {
+			chunks = append(chunks, z0/zonesPerChunk)
+		}
 	}
 	total := newPartial(p.cells, denseCellLimit)
-	wave := make([]*partial, workers)
-	for base := 0; base < nChunks; base += workers {
-		n := workers
-		if base+n > nChunks {
-			n = nChunks - base
+	if len(chunks) <= 1 {
+		// Merging one chunk's partial into the empty accumulator copies it
+		// cell for cell, so the chunk scans straight into the accumulator.
+		for _, c := range chunks {
+			p.scanChunk(total, c)
 		}
+		return total
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(chunks))
+	wave := make([]*partial, workers)
+	for base := 0; base < len(chunks); base += workers {
+		n := min(workers, len(chunks)-base)
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				start := (base + i) * planChunkSize
-				end := start + planChunkSize
-				if end > p.nRows {
-					end = p.nRows
-				}
 				pt := newPartial(p.cells, chunkDenseLimit)
-				p.scanChunk(pt, start, end)
+				p.scanChunk(pt, chunks[base+i])
 				wave[i] = pt
 			}(i)
 		}

@@ -3,7 +3,6 @@ package dw
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -88,6 +87,10 @@ func (w *Warehouse) validateLocked(q Query) (*factData, map[string]string, error
 	// presentation; only an exact (role, level) repeat is a redundant
 	// column and almost certainly a query bug.
 	seenGroups := map[LevelSel]bool{}
+	// keySpace is the product of the grouped levels' cardinalities (+1
+	// each for the "(unknown)" slot): the compiled plan's composite
+	// group key must fit in a uint64, or distinct groups would merge.
+	keySpace := uint64(1)
 	for _, g := range q.GroupBy {
 		if seenGroups[g] {
 			return nil, nil, fmt.Errorf("dw: duplicate group-by %s at level %s", g.Role, g.Level)
@@ -96,6 +99,11 @@ func (w *Warehouse) validateLocked(q Query) (*factData, map[string]string, error
 		if err := w.checkRoleLevelLocked(roleDim, g.Role, g.Level, q.Fact); err != nil {
 			return nil, nil, err
 		}
+		card := uint64(len(w.dims[roleDim[g.Role]].levels[g.Level].members)) + 1
+		if keySpace > math.MaxUint64/card {
+			return nil, nil, fmt.Errorf("dw: too many groups: the %d group-by columns have more than 2^64 member combinations", len(q.GroupBy))
+		}
+		keySpace *= card
 	}
 	for _, f := range q.Filters {
 		if err := w.checkRoleLevelLocked(roleDim, f.Role, f.Level, q.Fact); err != nil {
@@ -107,9 +115,10 @@ func (w *Warehouse) validateLocked(q Query) (*factData, map[string]string, error
 
 // Validate checks a query against the schema without executing it: the
 // fact, measure, aggregation, every group-by and filter (role, level)
-// pair and exact duplicate group-by columns are verified exactly as
-// Execute would. Query front-ends (the NL→OLAP translator) use it to
-// guarantee they never emit a plan Execute would reject.
+// pair, exact duplicate group-by columns and a group-key space beyond
+// uint64 are verified exactly as Execute would. Query front-ends (the
+// NL→OLAP translator) use it to guarantee they never emit a plan
+// Execute would reject.
 func (w *Warehouse) Validate(q Query) error {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -128,93 +137,6 @@ func (w *Warehouse) Execute(q Query) (*Result, error) {
 		return nil, err
 	}
 	return finalize(q, cells), nil
-}
-
-// referenceCellsLocked is the row-at-a-time scan: per-row roll-up walks,
-// string group keys, map accumulators. It returns the raw per-group
-// cells, sorted by NUL-joined group names, and is ExecuteCells' path when
-// the composite group-key space overflows uint64 (and, in the tests, the
-// oracle the compiled engine is checked against). Callers must hold w.mu
-// and have validated the query.
-func (w *Warehouse) referenceCellsLocked(q Query, fd *factData, roleDim map[string]string) []CellRow {
-	type compiledFilter struct {
-		role, level string
-		allowed     map[int]bool
-	}
-	var filters []compiledFilter
-	for _, f := range q.Filters {
-		allowed := make(map[int]bool, len(f.Values))
-		lt := w.dims[roleDim[f.Role]].levels[f.Level]
-		for _, v := range f.Values {
-			key, ok := lt.byName[v]
-			if !ok {
-				// A filter value that matches no member simply matches no
-				// rows; this is not an error (slicing on "Oz" is empty).
-				continue
-			}
-			allowed[key] = true
-		}
-		filters = append(filters, compiledFilter{f.Role, f.Level, allowed})
-	}
-
-	type cell struct {
-		groups []string
-		sum    float64
-		count  int
-		min    float64
-		max    float64
-	}
-	cells := map[string]*cell{}
-	measure := fd.measureColumn(q.Measure)
-
-rows:
-	for r := 0; r < fd.rows; r++ {
-		for _, f := range filters {
-			key := w.rollUpKeyLocked(roleDim[f.role], int(fd.roleColumn(f.role)[r]), f.level)
-			if key == NoParent || !f.allowed[key] {
-				continue rows
-			}
-		}
-		groups := make([]string, len(q.GroupBy))
-		for i, g := range q.GroupBy {
-			key := w.rollUpKeyLocked(roleDim[g.Role], int(fd.roleColumn(g.Role)[r]), g.Level)
-			if key == NoParent {
-				groups[i] = "(unknown)"
-			} else {
-				groups[i] = w.memberNameLocked(roleDim[g.Role], g.Level, key)
-			}
-		}
-		ck := strings.Join(groups, "\x00")
-		c, ok := cells[ck]
-		if !ok {
-			c = &cell{groups: groups, min: math.Inf(1), max: math.Inf(-1)}
-			cells[ck] = c
-		}
-		var v float64
-		if measure != nil {
-			v = measure[r]
-		}
-		c.sum += v
-		c.count++
-		if v < c.min {
-			c.min = v
-		}
-		if v > c.max {
-			c.max = v
-		}
-	}
-
-	keys := make([]string, 0, len(cells))
-	for k := range cells {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]CellRow, 0, len(keys))
-	for _, k := range keys {
-		c := cells[k]
-		out = append(out, CellRow{Groups: c.groups, Sum: c.sum, Count: c.count, Min: c.min, Max: c.max})
-	}
-	return out
 }
 
 func (w *Warehouse) checkRoleLevelLocked(roleDim map[string]string, role, level, fact string) error {

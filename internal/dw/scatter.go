@@ -52,15 +52,14 @@ func (w *Warehouse) ExecuteCells(q Query) ([]CellRow, error) {
 		return nil, err
 	}
 	p := w.compilePlanLocked(q, fd, roleDim)
-	if p.overflow {
-		// The composite group-key space exceeds uint64; integer keys would
-		// wrap and merge distinct groups. Pathological (the product of the
-		// grouped level cardinalities must top 2^64) but not impossible,
-		// so take the string-keyed row-at-a-time scan instead of
-		// answering wrong.
-		return w.referenceCellsLocked(q, fd, roleDim), nil
+	cells := p.materializeCells(p.run())
+	if c := w.met.RowsScanned; c != nil {
+		c.Add(p.scanned)
 	}
-	return p.materializeCells(p.run()), nil
+	if c := w.met.ZonesPruned; c != nil {
+		c.Add(p.pruned)
+	}
+	return cells, nil
 }
 
 // MergeCells gathers per-shard partials into the final Result: cells

@@ -242,6 +242,7 @@ func (w *Warehouse) Import(snap *Snapshot) error {
 			}
 		}
 		fd.rows = fs.Rows
+		fd.rebuildZones()
 	}
 	w.invalidateRollups()
 	return nil

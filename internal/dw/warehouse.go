@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"dwqa/internal/mdm"
+	"dwqa/internal/obs"
 )
 
 // NoParent marks a member without a parent at the next level.
@@ -57,6 +58,8 @@ type Warehouse struct {
 	// SetJournal for the durability contract.
 	journal Journal
 
+	met Metrics
+
 	memoMu  sync.Mutex
 	rollups map[rollupMemoKey][]int32
 }
@@ -83,6 +86,25 @@ func (w *Warehouse) SetJournal(j Journal) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.journal = j
+}
+
+// Metrics are the optional work counters the query engine adds to once
+// per ExecuteCells. Nil counters are skipped, so an unmetered warehouse
+// counts nothing.
+type Metrics struct {
+	// RowsScanned counts the fact rows the scan loop visited.
+	RowsScanned *obs.Counter
+	// ZonesPruned counts the zones the scan skipped because no filter
+	// could match them.
+	ZonesPruned *obs.Counter
+}
+
+// SetMetrics attaches the work counters. Queries that start afterwards
+// count into them.
+func (w *Warehouse) SetMetrics(m Metrics) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.met = m
 }
 
 // New builds an empty warehouse for a validated schema.
@@ -421,29 +443,6 @@ func (w *Warehouse) FactCount(fact string) int {
 		return fd.rows
 	}
 	return 0
-}
-
-// rollUpKey maps a base-level surrogate key of a dimension to the
-// surrogate key of its ancestor at the target level. Returns NoParent when
-// the chain is broken (missing parent links).
-func (w *Warehouse) rollUpKeyLocked(dim string, baseKey int, level string) int {
-	dd := w.dims[dim]
-	path := dd.class.PathTo(level)
-	if path == nil {
-		return NoParent
-	}
-	key := baseKey
-	for i := 0; i < len(path)-1; i++ {
-		lt := dd.levels[path[i]]
-		if key < 0 || key >= len(lt.members) {
-			return NoParent
-		}
-		key = lt.members[key].Parent
-	}
-	if key < 0 {
-		return NoParent
-	}
-	return key
 }
 
 // memberNameLocked resolves a surrogate key at a level to its name.

@@ -80,6 +80,11 @@ type Cluster struct {
 	// straggler detector. Swapped atomically so scatter goroutines never
 	// lock to read it; nil means no observation and no clock readings.
 	fanout atomic.Pointer[obs.Histogram]
+
+	// metMu serialises SetMetrics against SetNode, so a node a follower
+	// swaps in always counts into the current dwMet.
+	metMu sync.Mutex
+	dwMet dw.Metrics
 }
 
 // SetFanoutHistogram attaches (or, with nil, detaches) the per-shard
@@ -137,9 +142,25 @@ func (c *Cluster) Shards() int { return c.n }
 func (c *Cluster) Node(i int) *Node { return c.nodes[i].Load() }
 
 // SetNode swaps shard i's stack — the follower's snapshot-reload path.
-// The caller must rebuild the shard's ordinal entries (ReindexShard)
-// after the swap.
-func (c *Cluster) SetNode(i int, n *Node) { c.nodes[i].Store(n) }
+// The new warehouse takes the cluster's work counters. The caller must
+// rebuild the shard's ordinal entries (ReindexShard) after the swap.
+func (c *Cluster) SetNode(i int, n *Node) {
+	c.metMu.Lock()
+	defer c.metMu.Unlock()
+	n.WH.SetMetrics(c.dwMet)
+	c.nodes[i].Store(n)
+}
+
+// SetMetrics attaches the warehouse work counters to every shard's
+// warehouse, and to any a later SetNode swaps in.
+func (c *Cluster) SetMetrics(m dw.Metrics) {
+	c.metMu.Lock()
+	defer c.metMu.Unlock()
+	c.dwMet = m
+	for i := range c.nodes {
+		c.Node(i).WH.SetMetrics(m)
+	}
+}
 
 // Schema returns the shared multidimensional schema.
 func (c *Cluster) Schema() *mdm.Schema { return c.schema }
