@@ -28,11 +28,13 @@
 //
 // With -shards N the warehouse fact columns and the passage index
 // partition across N shards by city hash (answers stay byte-identical
-// to single-node serving); with -data-dir each shard persists its own
-// snapshot/WAL store under the directory. -follow opens the same
-// directory as a read replica instead: it serves from the leader's
-// shipped snapshots, tails the per-shard WAL every -poll, and refuses
-// feeds; /healthz reports per-shard sequence and lag on both sides.
+// to single-node serving, which is the 1-shard case); with -data-dir
+// each of N > 1 shards persists its own snapshot/WAL store under the
+// directory, and one shard keeps its store in the directory itself.
+// -follow opens the same directory as a read replica instead: it serves
+// from the leader's shipped snapshots, tails each shard's WAL every
+// -poll, and refuses feeds; /healthz reports per-shard sequence and lag
+// on both sides.
 //
 // The serve API:
 //
@@ -151,15 +153,14 @@ func runTrace(args []string) {
 // serveSetup is what the serve flags decide: the pipeline and engine
 // configuration, the topology and the transport options.
 type serveSetup struct {
-	cfg        dwqa.Config
-	noFeed     bool
-	dataDir    string
-	snapEvery  time.Duration
-	shards     int
-	shardedDir bool // dataDir holds a sharded cluster
-	follow     bool
-	poll       time.Duration
-	opts       serveOptions
+	cfg       dwqa.Config
+	noFeed    bool
+	dataDir   string
+	snapEvery time.Duration
+	shards    int
+	follow    bool
+	poll      time.Duration
+	opts      serveOptions
 }
 
 // serveFlags registers the serve flags, bound to ss.
@@ -209,7 +210,6 @@ func parseServe(args []string) (*serveSetup, error) {
 			return nil, err
 		}
 		if detected > 0 {
-			ss.shardedDir = true
 			if shardsSet && ss.shards != detected {
 				return nil, fmt.Errorf("-shards %d disagrees with %s, which was created with %d shards", ss.shards, ss.dataDir, detected)
 			}
@@ -226,114 +226,72 @@ func parseServe(args []string) (*serveSetup, error) {
 		return nil, fmt.Errorf("-poll must be positive, got %s", ss.poll)
 	}
 	if ss.follow && ss.dataDir == "" {
-		return nil, fmt.Errorf("-follow requires -data-dir (the leader's cluster directory)")
+		return nil, fmt.Errorf("-follow requires -data-dir (the leader's data directory)")
 	}
 	return ss, nil
 }
 
-// runServe integrates (or recovers) once — a single node, a sharded
-// writer or a read replica — then serves the QA side over HTTP until
+// runServe integrates (or recovers) once — a writer over one or more
+// shards, or a read replica — then serves the QA side over HTTP until
 // SIGINT/SIGTERM, draining in-flight requests on the way out.
 func runServe(args []string) {
 	ss, err := parseServe(args)
 	exitOnParseError(err)
 
-	// Open (or recover) the topology; everything after — the feed, the
+	// Open (or recover) the pipeline; everything after — the feed, the
 	// engine, background and final snapshots, closing the stores — is
-	// one tail for both.
+	// one tail for both roles.
 	var (
-		node interface {
-			Summary() string
-			Engine() (*dwqa.Engine, error)
-		}
-		feed        func() error // the Step 5 feed; nil on a replica
-		closeStores func() error // nil in memory
-		stopTail    = func() {}  // a replica's WAL tail
-		durable     = !ss.follow && ss.dataDir != ""
+		p        *dwqa.Pipeline
+		stopTail = func() {} // a replica's WAL tail
+		durable  = !ss.follow && ss.dataDir != ""
 	)
 	switch {
 	case ss.follow:
-		replica, err := dwqa.OpenFollower(ss.cfg, ss.dataDir, ss.shards)
-		if err != nil {
+		if p, err = dwqa.OpenFollower(ss.cfg, ss.dataDir, ss.shards); err != nil {
 			fatal(err)
 		}
-		node = replica
-		stopTail = replica.StartTailing(ss.poll, func(err error) {
+		stopTail = p.StartTailing(ss.poll, func(err error) {
 			fmt.Fprintln(os.Stderr, "dwqa serve: replica tail:", err)
 		})
 		fmt.Printf("dwqa serve: following %s (%d shards, polling every %s, read-only)\n", ss.dataDir, ss.shards, ss.poll)
-	case ss.shards != 1 || ss.shardedDir:
-		var sp *dwqa.Sharded
-		var err error
-		if durable {
-			var info *dwqa.RecoveryInfo
-			sp, info, err = dwqa.OpenSharded(ss.cfg, ss.dataDir, ss.shards)
-			if err != nil {
-				fatal(err)
-			}
-			closeStores = sp.Durable().Close
-			if info.Recovered {
-				fmt.Printf("dwqa serve: recovered %d shards from %s (%d WAL records replayed)\n",
-					ss.shards, ss.dataDir, info.WALReplayed)
-			} else {
-				fmt.Println("dwqa serve: fresh cluster directory, integrated and published the initial snapshots")
-			}
-		} else {
-			if sp, err = dwqa.NewSharded(ss.cfg, ss.shards); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("dwqa serve: running the five-step integration over %d shards...\n", ss.shards)
-			if err := sp.Integrate(); err != nil {
-				fatal(err)
-			}
+	case durable: // the leader, recovered from or published to -data-dir
+		var info *dwqa.RecoveryInfo
+		if p, info, err = dwqa.OpenSharded(ss.cfg, ss.dataDir, ss.shards); err != nil {
+			fatal(err)
 		}
-		node = sp
-		feed = func() error { _, err := sp.Feed(nil); return err }
-	default:
-		var p *dwqa.Pipeline
-		var err error
-		if durable {
-			var info *dwqa.RecoveryInfo
-			p, info, err = dwqa.Open(ss.cfg, ss.dataDir)
-			if err != nil {
-				fatal(err)
-			}
-			closeStores = p.Store().Close
-			if info.Recovered {
-				members, rows := p.StateCounts()
-				fmt.Printf("dwqa serve: recovered %s (%d members, %d fact rows, %d WAL records replayed)\n",
-					info.SnapshotPath, members, rows, info.WALReplayed)
-			} else {
-				fmt.Println("dwqa serve: fresh data dir, integrated and published the initial snapshot")
-			}
+		if info.Recovered {
+			members, rows := p.Durable().StateCounts()
+			fmt.Printf("dwqa serve: recovered %s (%d shards, %d members, %d fact rows, %d WAL records replayed)\n",
+				ss.dataDir, ss.shards, members, rows, info.WALReplayed)
 		} else {
-			if p, err = dwqa.New(ss.cfg); err != nil {
-				fatal(err)
-			}
-			fmt.Println("dwqa serve: running the five-step integration (paper §3)...")
-			if err := p.Integrate(); err != nil {
-				fatal(err)
-			}
+			fmt.Println("dwqa serve: fresh data dir, integrated and published the initial snapshot")
 		}
-		node = p
-		feed = func() error { _, err := p.Step5FeedWarehouse(p.WeatherQuestions()); return err }
+	default: // the leader in memory
+		if p, err = dwqa.NewSharded(ss.cfg, ss.shards); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("dwqa serve: running the five-step integration (paper §3) over %d shards...\n", ss.shards)
+		if err := p.Integrate(); err != nil {
+			fatal(err)
+		}
 	}
 
 	// The feed runs on recovered boots too: a crash mid-harvest leaves a
 	// partial warehouse, and re-feeding converges on the complete one —
 	// the restored dedup state skips every record that survived, so a
 	// fully-fed recovery costs one no-op pass.
-	if feed != nil && !ss.noFeed {
+	if !ss.follow && !ss.noFeed {
 		if durable {
 			fmt.Println("dwqa serve: running the Step 5 feed (journaled; recovered records are skipped)...")
 		}
-		if err := feed(); err != nil {
+		if _, err := p.Step5FeedWarehouse(p.WeatherQuestions()); err != nil {
 			fatal(err)
 		}
 	}
-	fmt.Print(node.Summary())
+	fmt.Print(p.Summary())
 
-	eng, err := node.Engine()
+	eng, err := p.Engine()
 	if err != nil {
 		fatal(err)
 	}
@@ -358,7 +316,7 @@ func runServe(args []string) {
 			}
 			fmt.Printf("dwqa serve: final snapshot %s (%d bytes, WAL seq %d)\n",
 				info.Path, info.Bytes, info.WALSeq)
-			if err := closeStores(); err != nil {
+			if err := p.Durable().Close(); err != nil {
 				fatal(err)
 			}
 		}

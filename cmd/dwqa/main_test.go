@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -140,6 +141,12 @@ func TestServeRejects(t *testing.T) {
 		}
 	}
 
+	// A lone shard-000/ is the layout earlier 1-shard clusters wrote; a
+	// 1-shard cluster now keeps its store in the directory root.
+	legacy := t.TempDir()
+	if err := os.Mkdir(filepath.Join(legacy, "shard-000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		args []string
 		want string
@@ -149,6 +156,8 @@ func TestServeRejects(t *testing.T) {
 		{[]string{"-follow", "-data-dir", t.TempDir(), "-poll", "0"}, "-poll must be positive"},
 		{[]string{"-shards", "0"}, "-shards must be at least 1"},
 		{[]string{"-follow"}, "-follow requires -data-dir"},
+		{[]string{"-data-dir", legacy}, "shard-000/, a layout no longer read"},
+		{[]string{"-follow", "-data-dir", legacy}, "shard-000/, a layout no longer read"},
 	} {
 		if _, err := parseServe(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("serve %v: err = %v, want %q", c.args, err, c.want)

@@ -30,9 +30,15 @@
 // warehouse, and the analytic path (AskOLAP, or any Ask* call — questions
 // are classified automatically) lets users query the warehouse in natural
 // language through compiled OLAP plans.
+//
+// One Pipeline type serves every topology. A single node is a 1-shard
+// cluster: New builds one, NewSharded builds N shards whose answers are
+// byte-identical to it, OpenSharded boots a durable writer from a data
+// directory and OpenFollower a read replica of one.
 package dwqa
 
 import (
+	"fmt"
 	"net/http"
 
 	"dwqa/internal/bi"
@@ -127,57 +133,50 @@ var (
 // index. No integration step has run yet.
 func New(cfg Config) (*Pipeline, error) { return core.NewPipeline(cfg) }
 
-// RecoveryInfo summarises what Open recovered from a data directory:
-// which snapshot won, how many write-ahead-log records were replayed on
-// top of it, and whether a torn log tail was repaired.
+// NewSharded is New over n shards (DESIGN.md §10): fact columns and the
+// passage index partition by city hash, dimensions replicate, and
+// scatter/gather serving answers byte-identically to one node — which
+// is the 1-shard case.
+func NewSharded(cfg Config, shards int) (*Pipeline, error) {
+	return core.NewShardedPipeline(cfg, shards)
+}
+
+// RecoveryInfo summarises what OpenSharded recovered from a data
+// directory: the snapshots' sequence, how many write-ahead-log records
+// were replayed on top of them, and whether a torn log tail was
+// repaired.
 type RecoveryInfo = store.RecoveryInfo
 
-// Open boots a durable pipeline from a data directory (see DESIGN.md §7):
-// with a usable snapshot present the warehouse, passage index and merged
-// ontology are restored by bulk load and the WAL tail replayed — no
-// re-indexing, no re-harvesting; otherwise the scenario is integrated
-// fresh (steps 1-4) and published as the initial snapshot. Either way the
-// returned pipeline journals every subsequent feed, and its Engine
-// supports SnapshotTo/SnapshotEvery. Close the pipeline's Store when
-// done, ideally after a final snapshot.
-func Open(cfg Config, dataDir string) (*Pipeline, *RecoveryInfo, error) {
-	return core.OpenPipeline(cfg, dataDir)
+// OpenSharded boots a durable pipeline over n shards from a data
+// directory (see DESIGN.md §7): one snapshot/WAL store per shard, kept
+// in the directory itself when n is 1. With usable snapshots present
+// the warehouse, passage index and merged ontology are restored by bulk
+// load and the WAL tails replayed — no re-indexing, no re-harvesting;
+// otherwise the scenario is integrated fresh (steps 1-4) and published
+// as the initial snapshots. Either way the returned pipeline journals
+// every subsequent feed, and its Engine supports
+// SnapshotTo/SnapshotEvery. Close Durable() when done, ideally after a
+// final snapshot.
+func OpenSharded(cfg Config, dataDir string, shards int) (*Pipeline, *RecoveryInfo, error) {
+	return core.OpenShardedPipeline(cfg, dataDir, shards)
 }
 
 // DefaultConfig is the paper's evaluated configuration (ontology on, IR
 // filter on, seed 42, January-March 2004).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// Sharded is the N-shard deployment of the pipeline (DESIGN.md §10):
-// fact columns and the passage index partition by city hash, dimensions
-// replicate, and scatter/gather serving answers byte-identically to a
-// single node.
-type Sharded = core.ShardedPipeline
-
-// NewSharded builds the scenario over n shards in memory; call
-// Integrate() before serving.
-func NewSharded(cfg Config, shards int) (*Sharded, error) {
-	return core.NewShardedPipeline(cfg, shards)
-}
-
-// OpenSharded boots a durable sharded writer from a cluster directory
-// (one snapshot/WAL store per shard under it), recovering each shard or
-// building the baseline fresh — the sharded Open.
-func OpenSharded(cfg Config, dataDir string, shards int) (*Sharded, *RecoveryInfo, error) {
-	return core.OpenShardedPipeline(cfg, dataDir, shards)
-}
-
-// OpenFollower opens a leader's cluster directory as a read replica: it
-// serves from the shipped snapshots and tails the per-shard WAL
-// (Sharded.StartTailing) while the leader keeps feeding. The replica's
+// OpenFollower opens a leader's data directory as a read replica: it
+// serves from the shipped snapshots and tails each shard's WAL
+// (Pipeline.StartTailing) while the leader keeps feeding. The replica's
 // engine refuses feeds and reports per-shard replication lag in /healthz.
-func OpenFollower(cfg Config, dataDir string, shards int) (*Sharded, error) {
+func OpenFollower(cfg Config, dataDir string, shards int) (*Pipeline, error) {
 	return core.OpenShardedFollower(cfg, dataDir, shards)
 }
 
 // DetectShards reports how many shards a cluster directory was created
-// with (0 for a fresh path or a single-node store layout), so callers
-// can reopen or follow a cluster without restating the shard count.
+// with (0 for a fresh path or the single-node layout of one shard), so
+// callers can reopen or follow a cluster without restating the shard
+// count.
 func DetectShards(dataDir string) (int, error) {
 	return shard.DetectShards(store.OS(), dataDir)
 }
@@ -186,6 +185,9 @@ func DetectShards(dataDir string) (int, error) {
 // Step 5 has fed the Weather fact: it returns the temperature ranges that
 // increase last-minute sales and the pricing recommendations.
 func AnalyzeSalesWeather(p *Pipeline) (*BIReport, error) {
+	if p.Warehouse == nil {
+		return nil, fmt.Errorf("dwqa: the BI analysis reads one warehouse; this pipeline has %d shards", p.Cluster.Shards())
+	}
 	return bi.Analyze(p.Warehouse, bi.DefaultJoinSpec(), bi.Options{})
 }
 

@@ -100,7 +100,7 @@ func (p *Pipeline) translatorLocked() (*nl2olap.Translator, error) {
 	if p.trans != nil && p.transOnto == onto {
 		return p.trans, nil
 	}
-	t, err := NewScenarioTranslator(p.Warehouse, onto)
+	t, err := NewScenarioTranslator(p.Cluster, onto)
 	if err != nil {
 		return nil, err
 	}

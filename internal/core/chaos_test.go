@@ -263,11 +263,11 @@ func runChaosTrial(t *testing.T, cfg Config, seed int64, wantFingerprint string)
 	if _, err := p2.Step5FeedWarehouse(p2.WeatherQuestions()); err != nil {
 		t.Fatalf("seed %d: re-feed after recovery: %v", seed, err)
 	}
-	members1, rows1 := p2.StateCounts()
+	members1, rows1 := p2.Durable().StateCounts()
 	if _, err := p2.Step5FeedWarehouse(p2.WeatherQuestions()); err != nil {
 		t.Fatalf("seed %d: second re-feed: %v", seed, err)
 	}
-	if members2, rows2 := p2.StateCounts(); members2 != members1 || rows2 != rows1 {
+	if members2, rows2 := p2.Durable().StateCounts(); members2 != members1 || rows2 != rows1 {
 		t.Errorf("seed %d: second feed changed state: members %d→%d rows %d→%d",
 			seed, members1, members2, rows1, rows2)
 	}

@@ -2,22 +2,26 @@ package core
 
 import (
 	"fmt"
+	"sync"
+	"time"
 
 	"dwqa/internal/dw"
 	"dwqa/internal/etl"
 	"dwqa/internal/ir"
 	"dwqa/internal/ontology"
+	"dwqa/internal/shard"
 	"dwqa/internal/store"
-	"dwqa/internal/webcorpus"
-	"dwqa/internal/wordnet"
 )
 
-// The durable pipeline: OpenPipeline boots from a data directory,
-// recovering the warehouse, index and ontology from the newest valid
-// snapshot plus the WAL tail — or building them fresh on first boot —
-// and attaches the journals so every subsequent feed is persisted.
+// The durable pipeline: OpenShardedPipeline boots from a data directory
+// holding one store per shard (a 1-shard cluster keeps its store in the
+// root — the single-node layout), recovering the warehouse, index and
+// ontology from each shard's newest valid snapshot plus its WAL tail —
+// or building them fresh on first boot — and attaches the journals so
+// every subsequent feed is persisted. OpenShardedFollower opens the same
+// directory as a read replica.
 //
-// Recovery invariants (tested by recovery_test.go):
+// Recovery invariants (tested by recovery_test.go and sharded_test.go):
 //
 //   - Restore is a bulk load: warehouse columns, index postings and
 //     analysed sentences come straight out of the snapshot; nothing is
@@ -31,109 +35,212 @@ import (
 //     Step 4 tuning) re-run at boot from the restored ontology; the
 //     expensive state (corpus indexing, harvested facts) never rebuilds.
 
-// OpenPipeline opens dataDir and returns a serving-ready pipeline
-// (steps 1-4 complete). With a usable snapshot in the directory the
-// pipeline is recovered — warehouse, index and ontology restored, WAL
-// tail replayed, loader dedup rebuilt. Otherwise the scenario pipeline is
-// built fresh, integrated through Step 4 and published as the initial
-// snapshot. Either way the store's journals are attached before return,
-// so every later feed (Step5FeedWarehouse, /harvest) lands in the WAL,
-// and the engine is wired for SnapshotTo/background snapshots.
+// OpenPipeline opens dataDir as a single node and returns a
+// serving-ready pipeline (steps 1-4 complete): OpenShardedPipeline at
+// N = 1.
 //
 // The caller owns the store lifecycle: close the pipeline's Store (see
 // Pipeline.Store) when done, ideally after a final Engine().SnapshotTo().
 func OpenPipeline(cfg Config, dataDir string) (*Pipeline, *store.RecoveryInfo, error) {
-	return OpenPipelineFS(cfg, dataDir, store.OS())
+	return OpenShardedPipeline(cfg, dataDir, 1)
 }
 
 // OpenPipelineFS is OpenPipeline over an explicit filesystem — the seam
 // the chaos tests use to boot a durable pipeline on a fault-injecting
 // store.FaultFS and drive it through scheduled disk failures.
 func OpenPipelineFS(cfg Config, dataDir string, fsys store.FS) (*Pipeline, *store.RecoveryInfo, error) {
-	st, err := store.OpenFS(dataDir, fsys)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, info, err := openWithStore(cfg, st)
-	if err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-	return p, info, nil
+	return OpenShardedPipelineFS(cfg, dataDir, 1, fsys)
 }
 
-func openWithStore(cfg Config, st *store.Store) (*Pipeline, *store.RecoveryInfo, error) {
-	state, path, err := st.LoadSnapshot()
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	info := &store.RecoveryInfo{WALRepaired: st.WALRepaired()}
-	var p *Pipeline
-	if state != nil {
-		info.Recovered = true
-		info.SnapshotPath = path
-		info.SnapshotSeq = state.WALSeq
-		p, err = recoverPipeline(cfg, state)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		// First boot (or a directory holding only a WAL from a run that
-		// crashed before its first snapshot): build the deterministic
-		// baseline the WAL records were logged against.
-		p, err = NewPipeline(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := p.Integrate(); err != nil {
-			return nil, nil, err
-		}
+// OpenShardedPipeline boots a writer over N shards from dataDir. With a
+// usable snapshot in every shard's store the pipeline is recovered —
+// warehouse, index and ontology restored, WAL tails replayed, loader
+// dedup rebuilt. Otherwise the scenario pipeline is built fresh,
+// integrated through Step 4 and published as the initial snapshots.
+// Either way the journals are attached before return, so every later
+// feed (Step5FeedWarehouse, /harvest) lands in the WAL, and the engine
+// is wired for SnapshotTo/background snapshots.
+//
+// The caller owns the store lifecycle: close Durable() when done,
+// ideally after a final Engine().SnapshotTo().
+func OpenShardedPipeline(cfg Config, dataDir string, shards int) (*Pipeline, *store.RecoveryInfo, error) {
+	return OpenShardedPipelineFS(cfg, dataDir, shards, store.OS())
+}
+
+// OpenShardedPipelineFS is OpenShardedPipeline over an explicit
+// filesystem (the fault-injection seam).
+func OpenShardedPipelineFS(cfg Config, dataDir string, shards int, fsys store.FS) (*Pipeline, *store.RecoveryInfo, error) {
+	cfg = normalizeConfig(cfg)
+	fp := configFingerprint(cfg)
+	if err := checkLayout(fsys, dataDir, shards); err != nil {
+		return nil, nil, err
 	}
 
-	// Replay the WAL tail on top (snapshot-covered records are skipped by
-	// the sequence gate; on a fresh boot afterSeq is 0 and everything in
-	// the log re-applies to the deterministic baseline).
-	replayed, err := st.Replay(info.SnapshotSeq, store.ReplayHandlers{
-		Batch:     p.Warehouse.AddBatch,
-		Documents: p.Index.AddBatch,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: WAL replay: %w", err)
+	stores := make([]*store.Store, shards)
+	states := make([]*store.State, shards)
+	closeAll := func() {
+		for _, st := range stores {
+			if st != nil {
+				st.Close()
+			}
+		}
 	}
-	info.WALReplayed = replayed
+	info := &store.RecoveryInfo{Recovered: true, SnapshotPath: dataDir}
+	for i := 0; i < shards; i++ {
+		st, err := store.OpenFS(shard.ShardDir(dataDir, i, shards), fsys)
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		stores[i] = st
+		state, path, err := st.LoadSnapshot()
+		if err == nil && state != nil {
+			err = checkFingerprint(i, shards, state.Fingerprint, fp)
+		}
+		if err != nil {
+			closeAll()
+			return nil, nil, fmt.Errorf("core: %w", err)
+		}
+		if state != nil {
+			info.SnapshotSeq = max(info.SnapshotSeq, state.WALSeq)
+			if shards == 1 {
+				info.SnapshotPath = path // the snapshot that won; a cluster reports its root
+			}
+		} else {
+			info.Recovered = false
+		}
+		states[i] = state
+		info.WALRepaired += st.WALRepaired()
+	}
+
+	p, err := bootLeader(cfg, shards, states, info.Recovered)
+	if err != nil {
+		closeAll()
+		return nil, nil, err
+	}
+
+	// Replay each shard's WAL tail onto its node (snapshot-covered
+	// records are skipped by the per-shard sequence gate; on a fresh
+	// boot everything in the log re-applies to the deterministic
+	// baseline).
+	for i, st := range stores {
+		var after uint64
+		if states[i] != nil {
+			after = states[i].WALSeq
+		}
+		replayed, err := st.Replay(after, p.Cluster.ReplayHandlers(i))
+		if err != nil {
+			closeAll()
+			return nil, nil, fmt.Errorf("core: shard %d WAL replay: %w", i, err)
+		}
+		info.WALReplayed += replayed
+	}
 
 	// The Step 5 loader must skip every record already in the warehouse
 	// when a harvest re-runs after recovery.
-	loader, err := etl.NewLoader(p.Ontology, p.Warehouse, "Weather", "City", "Date")
-	if err != nil {
-		return nil, nil, err
+	loader, err := etl.NewLoader(p.Ontology, p.Cluster, "Weather", "City", "Date")
+	if err == nil {
+		_, err = loader.RestoreDedup()
 	}
-	if _, err := loader.RestoreDedup(); err != nil {
+	var durable *shard.Durable
+	if err == nil {
+		durable, err = shard.NewDurable(p.Cluster, dataDir, stores, p.Ontology, fp)
+	}
+	if err != nil {
+		closeAll()
 		return nil, nil, err
 	}
 	p.mu.Lock()
 	p.Loader = loader
-	p.st = st
+	p.durable = durable
 	p.recovery = info
 	p.mu.Unlock()
 
 	if !info.Recovered {
-		// Publish the initial snapshot so the next boot restores instead
-		// of rebuilding (it also absorbs any replayed orphan WAL).
-		publish, err := p.ExportForSnapshot()
+		// Publish the initial snapshots so the next boot (and any
+		// follower) restores instead of rebuilding; this also absorbs
+		// any replayed orphan WAL.
+		publish, err := durable.ExportForSnapshot()
 		if err == nil {
 			_, err = publish()
 		}
 		if err != nil {
+			closeAll()
 			return nil, nil, err
 		}
 	}
 
 	// Journals attach last: everything before this point is either inside
-	// the snapshot or already in the WAL; everything after gets logged.
-	p.Warehouse.SetJournal(st)
-	p.Index.SetJournal(st)
+	// a snapshot or already in the WAL; everything after gets logged.
+	durable.AttachJournals()
 	return p, info, nil
+}
+
+// bootLeader builds the pipeline a leader's WAL replays onto. Recovered:
+// every shard's node is imported from its snapshot around the ontology
+// they replicate. Otherwise (first boot, or a crash before every shard
+// published its first snapshot): the deterministic baseline the WAL
+// records were logged against, with whatever snapshots do exist grafted
+// on.
+func bootLeader(cfg Config, shards int, states []*store.State, recovered bool) (*Pipeline, error) {
+	var p *Pipeline
+	var err error
+	if recovered {
+		if p, err = newShell(cfg, shards); err == nil {
+			err = p.adoptOntology(states[0].Onto)
+		}
+	} else if p, err = NewShardedPipeline(cfg, shards); err == nil {
+		err = p.Integrate()
+	}
+	for i := 0; err == nil && i < shards; i++ {
+		if states[i] != nil {
+			if err = p.Cluster.InstallState(i, states[i]); err != nil {
+				err = fmt.Errorf("core: shard %d: %w", i, err)
+			}
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	p.bindNode()
+	return p, nil
+}
+
+// adoptOntology installs an ontology restored from a snapshot — Steps
+// 1-2 live inside it — and re-runs the cheap deterministic Step 3/4
+// tail. Neither step reads the shards' state, so their nodes may be
+// installed afterwards.
+func (p *Pipeline) adoptOntology(snap *ontology.Snapshot) error {
+	onto, err := ontology.FromSnapshot(snap)
+	if err != nil {
+		return fmt.Errorf("core: restoring ontology: %w", err)
+	}
+	p.Ontology = onto
+	p.step.Store(2)
+	if err := p.Step3MergeUpperOntology(); err != nil {
+		return err
+	}
+	return p.Step4TuneQA()
+}
+
+// checkLayout refuses a directory laid out for another shard count: an
+// N-shard directory opened with a different N, or a populated
+// single-node root opened as a cluster. DetectShards refuses a lone
+// shard-000.
+func checkLayout(fsys store.FS, dataDir string, shards int) error {
+	n, err := shard.DetectShards(fsys, dataDir)
+	if err != nil {
+		return err
+	}
+	if n == 0 && shards > 1 {
+		if _, ok := store.SnapshotSeq(fsys, dataDir); ok {
+			n = 1
+		}
+	}
+	if n != 0 && n != shards {
+		return fmt.Errorf("core: %s was created with %d shard(s), not %d; restart with -shards %d or a fresh data directory", dataDir, n, shards, n)
+	}
+	return nil
 }
 
 // configFingerprint renders the state-shaping scenario parameters — the
@@ -151,56 +258,20 @@ func configFingerprint(cfg Config) string {
 	return fp
 }
 
-// checkFingerprint refuses a snapshot stamped for another configuration
-// (or, for a shard, another slot or topology); what names the snapshot
-// in the error. An unstamped snapshot is accepted.
-func checkFingerprint(what, got, want string) error {
-	if got != "" && got != want {
+// checkFingerprint refuses shard i's snapshot when it was stamped for
+// another configuration, slot or topology. An unstamped snapshot is
+// accepted.
+func checkFingerprint(i, shards int, got, fp string) error {
+	if want := shard.ShardFingerprint(fp, i, shards); got != "" && got != want {
+		what := "data directory"
+		if shards > 1 {
+			what = fmt.Sprintf("shard %d snapshot", i)
+		}
 		return fmt.Errorf(
-			"core: %s was created with different scenario parameters (%s) than this boot (%s); restart with matching flags (and -shards) or a fresh data directory",
+			"%s was created with different scenario parameters (%s) than this boot (%s); restart with matching flags (and -shards) or a fresh data directory",
 			what, got, want)
 	}
 	return nil
-}
-
-// recoverPipeline rebuilds a pipeline around restored state: bulk-import
-// the warehouse and index, adopt the ontology, rebuild the cheap derived
-// pieces (corpus metadata, lexicon merge, QA tuning).
-func recoverPipeline(cfg Config, state *store.State) (*Pipeline, error) {
-	cfg = normalizeConfig(cfg)
-	if err := checkFingerprint("data directory", state.Fingerprint, configFingerprint(cfg)); err != nil {
-		return nil, err
-	}
-	wh, index, onto, err := importState(state)
-	if err != nil {
-		return nil, err
-	}
-
-	// The corpus object itself is synthetic and cheap (page metadata, no
-	// indexing); rebuild it — through the same derivation NewPipeline
-	// uses — so WeatherQuestions and Summary keep working.
-	corpus := webcorpus.Build(corpusConfig(cfg))
-
-	p := &Pipeline{
-		Config:    cfg,
-		Schema:    wh.Schema(),
-		Warehouse: wh,
-		Corpus:    corpus,
-		Index:     index,
-		Lexicon:   wordnet.Seed(),
-		Ontology:  onto,
-	}
-	// Steps 1-2 live inside the restored ontology; re-run the cheap
-	// deterministic tail (Step 3 merges into the fresh lexicon, Step 4
-	// re-tunes — axiom re-adds are no-ops on the restored ontology).
-	p.step.Store(2)
-	if err := p.Step3MergeUpperOntology(); err != nil {
-		return nil, err
-	}
-	if err := p.Step4TuneQA(); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // RestoreState decodes an encoded snapshot and bulk-loads the warehouse,
@@ -211,13 +282,6 @@ func RestoreState(snapBytes []byte) (*dw.Warehouse, *ir.Index, *ontology.Ontolog
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return importState(state)
-}
-
-// importState bulk-loads the warehouse, index and ontology of a decoded
-// snapshot: columns, postings and analysed sentences are adopted as
-// stored, nothing is re-analysed.
-func importState(state *store.State) (*dw.Warehouse, *ir.Index, *ontology.Ontology, error) {
 	wh, err := dw.New(Figure1Schema())
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: %w", err)
@@ -236,73 +300,163 @@ func importState(state *store.State) (*dw.Warehouse, *ir.Index, *ontology.Ontolo
 	return wh, index, onto, nil
 }
 
-// ExportState is a deep copy of the warehouse, index and ontology — the
-// state a snapshot holds. The engine calls it (through ExportForSnapshot)
-// with feed commits quiesced; callers driving feeds outside the engine
-// must quiesce them themselves.
+// ExportState is a deep copy of a 1-shard pipeline's warehouse, index
+// and ontology — the state its snapshot holds. Callers driving feeds
+// outside the engine must quiesce them themselves.
 func (p *Pipeline) ExportState() (*store.State, error) {
 	if p.Ontology == nil {
 		return nil, fmt.Errorf("core: nothing to export before Step 1 (no ontology)")
 	}
-	return &store.State{
-		Fingerprint: configFingerprint(p.Config),
-		DW:          p.Warehouse.Export(),
-		IR:          p.Index.Export(),
-		Onto:        p.Ontology.Export(),
-	}, nil
-}
-
-// ExportForSnapshot implements engine.Snapshotter over the pipeline's
-// one store: ExportState stamped with the store's WAL sequence, and a
-// closure publishing it as the store's next snapshot.
-func (p *Pipeline) ExportForSnapshot() (func() (store.SnapshotInfo, error), error) {
-	st := p.Store()
-	if st == nil {
-		return nil, fmt.Errorf("core: in-memory pipeline has no store to snapshot to (OpenPipeline)")
+	if n := p.Cluster.Shards(); n != 1 {
+		return nil, fmt.Errorf("core: ExportState exports one node, this pipeline has %d shards (ExportShardStates)", n)
 	}
-	state, err := p.ExportState()
-	if err != nil {
-		return nil, err
+	state := p.ExportShardStates()[0]
+	state.Onto = p.Ontology.Export()
+	return state, nil
+}
+
+// ExportShardStates exports every shard's warehouse and index — the
+// comparable cluster state. A leader and a caught-up replica built over
+// the same directory export byte-identical encodings (the replica
+// convergence check compares store.EncodeState of each entry).
+func (p *Pipeline) ExportShardStates() []*store.State {
+	fp := configFingerprint(p.Config)
+	n := p.Cluster.Shards()
+	states := make([]*store.State, n)
+	for i := 0; i < n; i++ {
+		node := p.Cluster.Node(i)
+		states[i] = &store.State{
+			Fingerprint: shard.ShardFingerprint(fp, i, n),
+			DW:          node.WH.Export(),
+			IR:          node.IX.Export(),
+		}
 	}
-	state.WALSeq = st.Seq()
-	return func() (store.SnapshotInfo, error) { return st.WriteSnapshot(state) }, nil
+	return states
 }
 
-// Seq implements engine.Snapshotter: the store's WAL sequence (0 in
-// memory).
-func (p *Pipeline) Seq() uint64 {
-	if st := p.Store(); st != nil {
-		return st.Seq()
-	}
-	return 0
-}
-
-// WALErrors implements engine.Snapshotter: journal appends the store
-// refused (0 in memory).
-func (p *Pipeline) WALErrors() uint64 {
-	if st := p.Store(); st != nil {
-		return st.WALErrors()
-	}
-	return 0
-}
-
-// StateCounts implements engine.Snapshotter.
-func (p *Pipeline) StateCounts() (members, factRows int) {
-	return p.Warehouse.Counts()
-}
-
-// Store returns the durable store this pipeline was opened over, or nil
-// for a purely in-memory pipeline.
-func (p *Pipeline) Store() *store.Store {
+// Durable returns the leader persistence handle — the engine's
+// snapshotter — or nil for in-memory and follower pipelines.
+func (p *Pipeline) Durable() *shard.Durable {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.st
+	return p.durable
 }
 
-// RecoveryInfo returns what OpenPipeline recovered (nil for in-memory
-// pipelines).
+// Store returns the one store of a durable 1-shard leader, or nil.
+func (p *Pipeline) Store() *store.Store {
+	if d := p.Durable(); d != nil && len(d.Stores()) == 1 {
+		return d.Stores()[0]
+	}
+	return nil
+}
+
+// RecoveryInfo returns what the durable open recovered (nil in memory).
 func (p *Pipeline) RecoveryInfo() *store.RecoveryInfo {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.recovery
+}
+
+// --- Follower (read replica) ---
+
+// OpenShardedFollower opens a leader's data directory read-only: it
+// loads every shard's newest shipped snapshot, tails the WAL once to
+// catch up, and returns a serving-ready read replica. Poll (or
+// StartTailing) keeps it converging while the leader feeds.
+func OpenShardedFollower(cfg Config, dataDir string, shards int) (*Pipeline, error) {
+	return OpenShardedFollowerFS(cfg, dataDir, shards, store.OS())
+}
+
+// OpenShardedFollowerFS is OpenShardedFollower over an explicit
+// filesystem.
+func OpenShardedFollowerFS(cfg Config, dataDir string, shards int, fsys store.FS) (*Pipeline, error) {
+	cfg = normalizeConfig(cfg)
+	fp := configFingerprint(cfg)
+	if err := checkLayout(fsys, dataDir, shards); err != nil {
+		return nil, err
+	}
+	p, err := newShell(cfg, shards)
+	if err != nil {
+		return nil, err
+	}
+	f := shard.NewFollower(p.Cluster, fsys, dataDir)
+	states, err := f.Bootstrap()
+	if err != nil {
+		return nil, err
+	}
+	for i, state := range states {
+		if state == nil {
+			return nil, fmt.Errorf("core: shard %d has no snapshot yet — start the leader first (it publishes the baseline at boot)", i)
+		}
+		if err := checkFingerprint(i, shards, state.Fingerprint, fp); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	if err := p.adoptOntology(states[0].Onto); err != nil {
+		return nil, err
+	}
+	p.follower = f
+	// Catch up past the snapshots before first serve.
+	if _, err := f.Poll(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Poll advances a follower one catch-up round and flushes the answer
+// cache when anything applied. Returns records applied.
+func (p *Pipeline) Poll() (int, error) {
+	p.mu.Lock()
+	f := p.follower
+	eng := p.eng
+	p.mu.Unlock()
+	if f == nil {
+		return 0, fmt.Errorf("core: Poll is for followers (OpenShardedFollower)")
+	}
+	n, err := f.Poll()
+	if n > 0 && eng != nil {
+		eng.InvalidateCache()
+	}
+	return n, err
+}
+
+// StartTailing polls the leader directory at the given interval until
+// the returned stop function is called. Errors go to onErr (may be
+// nil); polling continues after errors — a torn read this round
+// succeeds the next.
+func (p *Pipeline) StartTailing(interval time.Duration, onErr func(error)) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				if _, err := p.Poll(); err != nil && onErr != nil {
+					onErr(err)
+				}
+			}
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(done) })
+		wg.Wait()
+	}
+}
+
+// ReplicaStats reports a follower's per-shard replication position.
+func (p *Pipeline) ReplicaStats() []shard.FollowerStat {
+	p.mu.Lock()
+	f := p.follower
+	p.mu.Unlock()
+	if f == nil {
+		return nil
+	}
+	return f.Stats()
 }

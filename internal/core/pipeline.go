@@ -18,6 +18,7 @@ import (
 	"dwqa/internal/obs"
 	"dwqa/internal/ontology"
 	"dwqa/internal/qa"
+	"dwqa/internal/shard"
 	"dwqa/internal/store"
 	"dwqa/internal/uml2onto"
 	"dwqa/internal/webcorpus"
@@ -81,6 +82,12 @@ func DefaultConfig() Config {
 // QA side, and the shared ontology between them. Steps must run in order;
 // RunAll does so.
 //
+// The warehouse fact columns and the passage index live in a
+// shard.Cluster (DESIGN.md §10). The single-node deployment is the
+// 1-shard cluster, which hands every call straight to its one node; with
+// N shards facts and documents partition by city hash, dimensions
+// replicate, and answers stay byte-identical to N = 1.
+//
 // Once Step 4 has run, Ask, AskAll and Step5FeedWarehouse are safe to
 // call concurrently from any number of goroutines — the serving scenario
 // of answering user questions while a feed refreshes the warehouse. The
@@ -88,11 +95,16 @@ func DefaultConfig() Config {
 type Pipeline struct {
 	Config Config
 
-	Schema    *mdm.Schema
+	Schema  *mdm.Schema
+	Cluster *shard.Cluster
+	Corpus  *webcorpus.Corpus
+	Lexicon *wordnet.WordNet
+
+	// Warehouse and Index name shard 0's warehouse and index on a
+	// 1-shard leader or in-memory pipeline; they are nil on a follower
+	// (whose reloads swap the node) and when N > 1.
 	Warehouse *dw.Warehouse
-	Corpus    *webcorpus.Corpus
 	Index     *ir.Index
-	Lexicon   *wordnet.WordNet
 
 	Ontology    *ontology.Ontology // created by Step 1
 	MergeReport *merge.Report      // created by Step 3
@@ -107,46 +119,100 @@ type Pipeline struct {
 	trans     *nl2olap.Translator // lazily built by Translator()
 	transOnto *ontology.Ontology  // the lexicon trans was built over
 
-	st       *store.Store        // durable store (durable.go); nil in-memory
-	recovery *store.RecoveryInfo // what OpenPipeline recovered; nil in-memory
+	durable  *shard.Durable      // leader persistence (durable.go); nil in memory or on a follower
+	follower *shard.Follower     // replica tail; nil on the writer
+	recovery *store.RecoveryInfo // what a durable open recovered; nil in memory
 }
 
-// NewPipeline builds the scenario environment: the Figure 1 schema, the
-// populated warehouse, the web corpus and the passage index (the
-// indexation phase of Figure 3). No integration step has run yet.
-func NewPipeline(cfg Config) (*Pipeline, error) {
-	cfg = normalizeConfig(cfg)
-	schema := Figure1Schema()
-	wh, err := dw.New(schema)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+// ScenarioRoutes is the fact routing for the Figure 1 schema: weather
+// rows hash by their City coordinate, sales rows by the city their
+// Destination airport rolls up to — so one city's weather and inbound
+// sales co-locate on one shard.
+func ScenarioRoutes() map[string]shard.Route {
+	return map[string]shard.Route{
+		"Weather":         {Role: "City", Level: "City"},
+		"LastMinuteSales": {Role: "Destination", Level: "City"},
 	}
-	if err := PopulateScenarioScaled(wh, cfg.Year, cfg.Months, cfg.Seed, cfg.ScaleFactor); err != nil {
+}
+
+// NewPipeline builds the scenario environment on a single node: the
+// Figure 1 schema, the populated warehouse, the web corpus and the
+// passage index (the indexation phase of Figure 3). No integration step
+// has run yet.
+func NewPipeline(cfg Config) (*Pipeline, error) { return NewShardedPipeline(cfg, 1) }
+
+// NewShardedPipeline builds the scenario environment over N shards:
+// populated cluster, web corpus, partitioned passage index.
+func NewShardedPipeline(cfg Config, shards int) (*Pipeline, error) {
+	p, err := newShell(normalizeConfig(cfg), shards)
+	if err != nil {
+		return nil, err
+	}
+	cfg = p.Config
+	if err := PopulateScenarioScaled(p.Cluster, cfg.Year, cfg.Months, cfg.Seed, cfg.ScaleFactor); err != nil {
 		return nil, fmt.Errorf("core: populating scenario: %w", err)
 	}
-	corpus := webcorpus.Build(corpusConfig(cfg))
+	if err := indexCorpus(p.Cluster, p.Corpus, cfg.TableAware); err != nil {
+		return nil, fmt.Errorf("core: indexing corpus: %w", err)
+	}
+	p.bindNode()
+	return p, nil
+}
+
+// newShell builds a pipeline over an empty cluster with the scenario
+// schema, routes and the config's index geometry, plus the cheap
+// synthetic pieces (corpus metadata, lexicon) every boot rebuilds the
+// same way.
+func newShell(cfg Config, shards int) (*Pipeline, error) {
+	schema := Figure1Schema()
 	var opts []ir.Option
 	if cfg.PassageSize > 0 {
 		opts = append(opts, ir.WithPassageSize(cfg.PassageSize))
 	}
-	index := ir.NewIndex(opts...)
-	if err := index.AddBatch(corpus.Documents(cfg.TableAware)); err != nil {
-		return nil, fmt.Errorf("core: indexing corpus: %w", err)
+	cl, err := shard.NewCluster(schema, shards, ScenarioRoutes(), opts...)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &Pipeline{
-		Config:    cfg,
-		Schema:    schema,
-		Warehouse: wh,
-		Corpus:    corpus,
-		Index:     index,
-		Lexicon:   wordnet.Seed(),
+		Config:  cfg,
+		Schema:  schema,
+		Cluster: cl,
+		Corpus:  webcorpus.Build(corpusConfig(cfg)),
+		Lexicon: wordnet.Seed(),
 	}, nil
 }
 
+// bindNode points Warehouse and Index at a 1-shard cluster's node. Call
+// it once the node is final (after any restore installed it).
+func (p *Pipeline) bindNode() {
+	if p.Cluster.Shards() == 1 {
+		node := p.Cluster.Node(0)
+		p.Warehouse, p.Index = node.WH, node.IX
+	}
+}
+
+// indexCorpus feeds the corpus into the cluster in publication order —
+// ordinals follow it, which is what keeps federated ranking identical
+// to a single index. Weather pages route by their subject city
+// (co-located with the city's facts); distractor pages, which have no
+// subject, route by URL.
+func indexCorpus(cl *shard.Cluster, corpus *webcorpus.Corpus, tableAware bool) error {
+	docs := corpus.Documents(tableAware)
+	for i, doc := range docs {
+		key := doc.URL
+		if i < len(corpus.Pages) && corpus.Pages[i].URL == doc.URL && len(corpus.Pages[i].Gold) > 0 {
+			key = corpus.Pages[i].Gold[0].City
+		}
+		if err := cl.AddDocument(doc, key); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // corpusConfig derives the web-corpus configuration from a pipeline
-// config — shared by NewPipeline and the recovery path (durable.go), so
-// a recovered boot rebuilds exactly the corpus metadata the index was
-// built over.
+// config, so a recovered boot rebuilds exactly the corpus metadata the
+// index was built over.
 func corpusConfig(cfg Config) webcorpus.Config {
 	ccfg := webcorpus.DefaultConfig()
 	ccfg.Year = cfg.Year
@@ -158,8 +224,7 @@ func corpusConfig(cfg Config) webcorpus.Config {
 	return ccfg
 }
 
-// normalizeConfig fills the config defaults NewPipeline and the recovery
-// path both rely on.
+// normalizeConfig fills the config defaults every boot relies on.
 func normalizeConfig(cfg Config) Config {
 	if cfg.Year == 0 {
 		cfg.Year = 2004
@@ -200,27 +265,7 @@ func (p *Pipeline) Step2FeedOntology() error {
 	if err := p.require(1); err != nil {
 		return err
 	}
-	if err := feedOntologyFromMembers(p.Ontology, p.Warehouse); err != nil {
-		return err
-	}
-	p.step.Store(2)
-	return nil
-}
-
-// memberSource is the dimension read surface Step 2 extracts instances
-// from — a single warehouse or a shard cluster (whose dimensions are
-// replicated, so either answers identically).
-type memberSource interface {
-	Members(dim, level string) []string
-	ParentName(dim, level, name string) (string, error)
-	MemberKey(dim, level, name string) (int, error)
-	Member(dim, level string, key int) (dw.Member, error)
-}
-
-// feedOntologyFromMembers performs the Step 2 extraction: every airport
-// member becomes an Airport instance (with its city and alias/IATA
-// names), every city a City instance, every country a Country instance.
-func feedOntologyFromMembers(o *ontology.Ontology, wh memberSource) error {
+	o, wh := p.Ontology, p.Cluster
 	for _, name := range wh.Members("Airport", "Airport") {
 		city, err := wh.ParentName("Airport", "Airport", name)
 		if err != nil {
@@ -254,6 +299,7 @@ func feedOntologyFromMembers(o *ontology.Ontology, wh memberSource) error {
 	for _, country := range wh.Members("Airport", "Country") {
 		o.AddInstance("Country", ontology.Instance{Name: country})
 	}
+	p.step.Store(2)
 	return nil
 }
 
@@ -264,23 +310,16 @@ func (p *Pipeline) Step3MergeUpperOntology() error {
 	if err := p.require(2); err != nil {
 		return err
 	}
-	rep, err := mergeUpperOntology(p.Config, p.Ontology, p.Lexicon)
-	if err != nil {
-		return err
+	rep := &merge.Report{Mapping: map[string]string{}}
+	if p.Config.QA.UseOntology {
+		var err error
+		if rep, err = merge.Merge(p.Ontology, p.Lexicon); err != nil {
+			return err
+		}
 	}
 	p.MergeReport = rep
 	p.step.Store(3)
 	return nil
-}
-
-// mergeUpperOntology performs Step 3 for either topology. With
-// QA.UseOntology off (the E-ONTO ablation) the merge is skipped and the
-// lexicon stays untuned.
-func mergeUpperOntology(cfg Config, onto *ontology.Ontology, lex *wordnet.WordNet) (*merge.Report, error) {
-	if !cfg.QA.UseOntology {
-		return &merge.Report{Mapping: map[string]string{}}, nil
-	}
-	return merge.Merge(onto, lex)
 }
 
 // TemperatureAxioms returns the Step 4 axiomatic knowledge: a temperature
@@ -296,12 +335,18 @@ func TemperatureAxioms() []ontology.Axiom {
 
 // Step4TuneQA tunes the QA system to the new query types: the Temperature
 // concept receives its axioms and the weather question patterns are
-// installed.
+// installed. Axiom re-adds are no-ops, so it is safe on a restored
+// ontology.
 func (p *Pipeline) Step4TuneQA() error {
 	if err := p.require(3); err != nil {
 		return err
 	}
-	sys, err := tuneQA(p.Config, p.Ontology, p.Lexicon, p.Index)
+	for _, a := range TemperatureAxioms() {
+		if err := p.Ontology.AddAxiom(a); err != nil {
+			return err
+		}
+	}
+	sys, err := p.weatherSystem(p.Config.QA)
 	if err != nil {
 		return err
 	}
@@ -310,30 +355,10 @@ func (p *Pipeline) Step4TuneQA() error {
 	return nil
 }
 
-// tuneQA performs Step 4 for either topology over its retriever — a
-// single index or a shard cluster. Axiom re-adds are no-ops, so it is
-// safe on a restored ontology.
-func tuneQA(cfg Config, onto *ontology.Ontology, lex *wordnet.WordNet, r qa.Retriever) (*qa.System, error) {
-	for _, a := range TemperatureAxioms() {
-		if err := onto.AddAxiom(a); err != nil {
-			return nil, err
-		}
-	}
-	return weatherSystem(lex, qaOntology(cfg, onto), r, cfg.QA)
-}
-
-// newHarvester builds the Step 5 harvesting system for either topology:
-// the tuned QA system with the wide harvest passage budget (a month of
-// daily records needs more passages than a single-answer question).
-func newHarvester(cfg Config, onto *ontology.Ontology, lex *wordnet.WordNet, r qa.Retriever) (*qa.System, error) {
-	qcfg := cfg.QA
-	qcfg.TopPassages = cfg.HarvestPassages
-	return weatherSystem(lex, qaOntology(cfg, onto), r, qcfg)
-}
-
-// weatherSystem builds a QA system with the weather patterns installed.
-func weatherSystem(lex *wordnet.WordNet, onto *ontology.Ontology, r qa.Retriever, qcfg qa.Config) (*qa.System, error) {
-	sys, err := qa.NewSystem(lex, onto, r, qcfg)
+// weatherSystem builds a QA system over the cluster with the weather
+// patterns installed.
+func (p *Pipeline) weatherSystem(qcfg qa.Config) (*qa.System, error) {
+	sys, err := qa.NewSystem(p.Lexicon, qaOntology(p.Config, p.Ontology), p.Cluster, qcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +380,8 @@ func qaOntology(cfg Config, onto *ontology.Ontology) *ontology.Ontology {
 // the paper's examples.
 func (p *Pipeline) WeatherQuestions() []string { return weatherQuestions(p.Config, p.Corpus) }
 
-// weatherQuestions is the Step 5 workload of either topology.
+// weatherQuestions is the Step 5 workload of a configuration and its
+// corpus.
 func weatherQuestions(cfg Config, corpus *webcorpus.Corpus) []string {
 	var qs []string
 	for _, a := range ScenarioAirports {
@@ -420,7 +446,9 @@ func (p *Pipeline) Step5FeedWarehouse(questions []string) ([]StepResult, error) 
 // (requires Step 4), creating it on first call. The engine persists
 // across Step 5 runs — its loader keeps the dedup state that makes
 // repeated feeds idempotent, and its answer cache is invalidated by every
-// feed.
+// feed. On a follower the engine has no loader — feeds are refused with
+// a clear error — and its per-shard stats report replication lag
+// instead of the writer's sequences.
 func (p *Pipeline) Engine() (*engine.Engine, error) {
 	if err := p.require(4); err != nil {
 		return nil, err
@@ -430,12 +458,16 @@ func (p *Pipeline) Engine() (*engine.Engine, error) {
 	if p.eng != nil {
 		return p.eng, nil
 	}
-	if p.Loader == nil {
-		loader, err := etl.NewLoader(p.Ontology, p.Warehouse, "Weather", "City", "Date")
-		if err != nil {
-			return nil, err
+	var loader *etl.Loader
+	if p.follower == nil {
+		if p.Loader == nil {
+			l, err := etl.NewLoader(p.Ontology, p.Cluster, "Weather", "City", "Date")
+			if err != nil {
+				return nil, err
+			}
+			p.Loader = l
 		}
-		p.Loader = loader
+		loader = p.Loader
 	}
 	harvester, err := p.NewHarvester()
 	if err != nil {
@@ -445,48 +477,13 @@ func (p *Pipeline) Engine() (*engine.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts := engineParts{ask: p.QA, harvester: harvester, loader: p.Loader, corpus: p.Index,
-		warehouse: p.Warehouse, trans: trans, harvest: p.WeatherQuestions()}
-	if p.st != nil {
-		parts.snap, parts.stores, parts.recovery = p, []*store.Store{p.st}, p.recovery
-	}
-	eng, err := newEngine(p.Config, parts)
+	eng, err := engine.New(p.Config.Engine, p.QA, harvester, loader, p.Cluster)
 	if err != nil {
 		return nil, err
 	}
-	p.eng = eng
-	return eng, nil
-}
-
-// engineParts is what a topology hands newEngine.
-type engineParts struct {
-	ask, harvester *qa.System
-	loader         *etl.Loader // nil: the engine refuses feeds
-	corpus         engine.CorpusStats
-	// warehouse takes the dw work counters: the single warehouse, or
-	// the cluster, which hands them to every shard's.
-	warehouse interface{ SetMetrics(dw.Metrics) }
-	trans     *nl2olap.Translator
-	harvest   []string // the default /harvest workload
-	// The persistence seam (nil in memory), the stores behind it and
-	// what boot recovered.
-	snap     engine.Snapshotter
-	stores   []*store.Store
-	recovery *store.RecoveryInfo
-}
-
-// newEngine assembles the serving engine of either topology: the default
-// harvest, the analytic path with the warehouse's work counters on the
-// engine's registry and — when durable — the persistence seam with every
-// store's WAL latency reported into the same registry.
-func newEngine(cfg Config, parts engineParts) (*engine.Engine, error) {
-	eng, err := engine.New(cfg.Engine, parts.ask, parts.harvester, parts.loader, parts.corpus)
-	if err != nil {
-		return nil, err
-	}
-	eng.SetDefaultHarvest(parts.harvest)
+	eng.SetDefaultHarvest(p.WeatherQuestions())
 	reg := eng.Metrics()
-	parts.warehouse.SetMetrics(dw.Metrics{
+	p.Cluster.SetMetrics(dw.Metrics{
 		RowsScanned: reg.Counter("dwqa_dw_rows_scanned_total",
 			"Fact rows the OLAP scan visited."),
 		ZonesPruned: reg.Counter("dwqa_dw_zones_pruned_total",
@@ -495,17 +492,42 @@ func newEngine(cfg Config, parts engineParts) (*engine.Engine, error) {
 	// The analytic path: Ask/AskAll classify every question and dispatch
 	// analytic ones to the compiled OLAP engine instead of the factoid
 	// modules (DESIGN.md §6).
-	eng.SetTranslator(parts.trans)
-	if parts.snap != nil {
-		eng.SetSnapshotter(parts.snap, parts.recovery)
+	eng.SetTranslator(trans)
+	if p.Cluster.Shards() > 1 {
+		// Per-shard fan-out latency lands in the engine's stage
+		// histograms; a 1-shard cluster has no scatter round to time.
+		p.Cluster.SetFanoutHistogram(eng.StageHistogram(obs.StageShardFanout))
+	}
+	if d := p.durable; d != nil {
+		eng.SetSnapshotter(d, p.recovery)
 		met := store.Metrics{
 			Append: eng.StageHistogram(obs.StageWALAppend),
 			Fsync:  eng.WALFsyncHistogram(),
 		}
-		for _, st := range parts.stores {
+		for _, st := range d.Stores() {
 			st.SetMetrics(met)
 		}
+		eng.SetShardStats(func() []engine.ShardStat {
+			seqs := d.ShardSeqs()
+			out := make([]engine.ShardStat, len(seqs))
+			for i, s := range seqs {
+				out[i] = engine.ShardStat{Shard: i, Seq: s}
+			}
+			return out
+		})
 	}
+	if f := p.follower; f != nil {
+		eng.SetReadOnlyReplica()
+		eng.SetShardStats(func() []engine.ShardStat {
+			stats := f.Stats()
+			out := make([]engine.ShardStat, len(stats))
+			for i, s := range stats {
+				out[i] = engine.ShardStat{Shard: s.Shard, Seq: s.Seq, Lag: s.Lag}
+			}
+			return out
+		})
+	}
+	p.eng = eng
 	return eng, nil
 }
 
@@ -514,7 +536,9 @@ func newEngine(cfg Config, parts engineParts) (*engine.Engine, error) {
 // more passages than a single-answer question). The serving engine uses
 // this recipe, so /harvest runs the system the pipeline feeds with.
 func (p *Pipeline) NewHarvester() (*qa.System, error) {
-	return newHarvester(p.Config, p.Ontology, p.Lexicon, p.Index)
+	qcfg := p.Config.QA
+	qcfg.TopPassages = p.Config.HarvestPassages
+	return p.weatherSystem(qcfg)
 }
 
 // AskAll answers a batch of questions concurrently on the serving
@@ -582,10 +606,21 @@ func (p *Pipeline) Table1(question string) (qa.Trace, error) {
 // Summary renders a human-readable pipeline summary.
 func (p *Pipeline) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Pipeline (seed %d, year %d, months %v)\n", p.Config.Seed, p.Config.Year, p.Config.Months)
+	n := p.Cluster.Shards()
+	fmt.Fprintf(&b, "Pipeline (seed %d, year %d, months %v", p.Config.Seed, p.Config.Year, p.Config.Months)
+	if n > 1 {
+		fmt.Fprintf(&b, ", %d shards", n)
+	}
+	b.WriteString(")\n")
 	fmt.Fprintf(&b, "  warehouse: %d sales rows, %d weather rows\n",
-		p.Warehouse.FactCount("LastMinuteSales"), p.Warehouse.FactCount("Weather"))
-	fmt.Fprintf(&b, "  corpus: %d pages, %d passages indexed\n", len(p.Corpus.Pages), p.Index.PassageCount())
+		p.Cluster.FactCount("LastMinuteSales"), p.Cluster.FactCount("Weather"))
+	fmt.Fprintf(&b, "  corpus: %d pages, %d passages indexed\n", len(p.Corpus.Pages), p.Cluster.PassageCount())
+	for i := 0; n > 1 && i < n; i++ {
+		node := p.Cluster.Node(i)
+		_, rows := node.WH.Counts()
+		fmt.Fprintf(&b, "  shard %d: %d fact rows, %d docs, %d passages\n",
+			i, rows, node.IX.DocCount(), node.IX.PassageCount())
+	}
 	if p.Ontology != nil {
 		fmt.Fprintf(&b, "  ontology: %d concepts, %d instances\n", p.Ontology.Size(), p.Ontology.InstanceCount())
 	}

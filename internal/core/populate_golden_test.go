@@ -64,3 +64,21 @@ func TestPopulatedWarehouseDigest(t *testing.T) {
 		}
 	}
 }
+
+// goldenFedImage is the SHA-256 of the whole snapshot image — warehouse,
+// index (document ordinals included) and ontology — of the integrated
+// and fed DefaultConfig pipeline, so a drift in any section of the
+// single-node layout shows up, not only in the warehouse.
+const goldenFedImage = "2fd851b94a6e189223bdc74c9747b3ef3c3ddc3733905c54036101dfaec803c1"
+
+func TestFedSnapshotImageDigest(t *testing.T) {
+	p := runAll(t)
+	st, err := p.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(store.EncodeState(st))
+	if got := hex.EncodeToString(sum[:]); got != goldenFedImage {
+		t.Errorf("fed snapshot image digest = %s, want %s", got, goldenFedImage)
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"dwqa/internal/engine"
+	"dwqa/internal/shard"
 	"dwqa/internal/store"
 )
 
@@ -450,9 +452,9 @@ func TestRecoveryRejectsConfigMismatch(t *testing.T) {
 	}
 }
 
-// Compile-time check: the pipeline satisfies the engine's snapshot
-// source contract.
-var _ interface {
-	ExportState() (*store.State, error)
-	StateCounts() (int, int)
-} = (*Pipeline)(nil)
+// Compile-time checks: the pipeline exports its state, and its
+// persistence handle satisfies the engine's snapshot source contract.
+var (
+	_ interface{ ExportState() (*store.State, error) } = (*Pipeline)(nil)
+	_ engine.Snapshotter                               = (*shard.Durable)(nil)
+)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -20,7 +21,7 @@ import (
 // shardedFingerprint renders every factoid trace and analytic answer of
 // the workload — the same byte-identity oracle answerFingerprint uses
 // for the single-node pipeline.
-func shardedFingerprint(t *testing.T, sp *ShardedPipeline) string {
+func shardedFingerprint(t *testing.T, sp *Pipeline) string {
 	t.Helper()
 	eng, err := sp.Engine()
 	if err != nil {
@@ -98,7 +99,7 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
 		for _, s := range slices {
-			if _, err := sp.Feed(s); err != nil {
+			if _, err := sp.Step5FeedWarehouse(s); err != nil {
 				t.Fatalf("%d shards: feeding: %v", shards, err)
 			}
 		}
@@ -178,11 +179,17 @@ func TestShardedScatterGatherOLAP(t *testing.T) {
 // snapshots mid-feed, tails the WAL while the leader keeps feeding
 // (including across a leader snapshot that resets the WAL — the
 // ErrReplicaGap → reload arm), and converges to the leader's exported
-// per-shard state exactly.
+// per-shard state exactly. At one shard the replica follows the
+// single-node layout, the store kept in the directory root.
 func TestShardedReplicaConvergence(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testReplicaConvergence(t, shards) })
+	}
+}
+
+func testReplicaConvergence(t *testing.T, shards int) {
 	cfg := recoveryConfig()
 	dir := t.TempDir()
-	const shards = 2
 
 	leader, info, err := OpenShardedPipeline(cfg, dir, shards)
 	if err != nil {
@@ -199,7 +206,7 @@ func TestShardedReplicaConvergence(t *testing.T) {
 	}
 	mid := len(questions) / 2
 	for _, q := range questions[:mid] {
-		if _, err := leader.Feed([]string{q}); err != nil {
+		if _, err := leader.Step5FeedWarehouse([]string{q}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +221,7 @@ func TestShardedReplicaConvergence(t *testing.T) {
 	// Leader keeps feeding; a snapshot halfway through resets the WAL
 	// underneath the replica, forcing the gap → reload arm.
 	for i, q := range questions[mid:] {
-		if _, err := leader.Feed([]string{q}); err != nil {
+		if _, err := leader.Step5FeedWarehouse([]string{q}); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
@@ -279,13 +286,51 @@ func TestShardedReplicaConvergence(t *testing.T) {
 	}
 }
 
-// TestShardedRestart is the durable round trip: a restarted sharded
-// leader recovers every shard from snapshot + WAL and answers
-// byte-identically without re-feeding.
+// TestShardedRestart is the durable round trip: a restarted leader
+// recovers every shard from snapshot + WAL and answers byte-identically
+// without re-feeding. Both the fed leader and the rebooted one must
+// report their durability alike through the engine's one persistence
+// seam: Stats and the WAL metrics agree, and the reboot replays the feed.
 func TestShardedRestart(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testShardedRestart(t, shards) })
+	}
+}
+
+// durabilityReport is what an engine reports about its durability:
+// Stats' fields and the WAL metrics. It fails the test when the two
+// disagree on the sequence or the WAL refused an append.
+func durabilityReport(t *testing.T, eng *engine.Engine) engine.Stats {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := eng.Metrics().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	metric := func(name string) string {
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("no %s in /metrics", name)
+		return ""
+	}
+	st := eng.Stats()
+	if !st.Durable {
+		t.Error("durable pipeline reports Durable false")
+	}
+	if got, want := metric("dwqa_wal_seq"), fmt.Sprint(st.WALSeq); got != want {
+		t.Errorf("dwqa_wal_seq %s, Stats.WALSeq %s", got, want)
+	}
+	if got := metric("dwqa_wal_errors_total"); got != "0" || st.WALErrors != 0 {
+		t.Errorf("WAL errors: metric %s, Stats %d", got, st.WALErrors)
+	}
+	return st
+}
+
+func testShardedRestart(t *testing.T, shards int) {
 	cfg := recoveryConfig()
 	dir := t.TempDir()
-	const shards = 2
 
 	p1, _, err := OpenShardedPipeline(cfg, dir, shards)
 	if err != nil {
@@ -293,12 +338,20 @@ func TestShardedRestart(t *testing.T) {
 	}
 	slices := randomSlices(weatherQuestions(p1.Config, p1.Corpus), 3)
 	for _, s := range slices {
-		if _, err := p1.Feed(s); err != nil {
+		if _, err := p1.Step5FeedWarehouse(s); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want := shardedFingerprint(t, p1)
 	_, wantRows := p1.Cluster.Counts()
+	eng1, err := p1.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := durabilityReport(t, eng1); st.WALSeq == 0 || st.FactRows != wantRows {
+		t.Fatalf("fed leader reports WAL seq %d and %d fact rows, want > 0 and %d", st.WALSeq, st.FactRows, wantRows)
+	}
+	// Close without a final snapshot, so the reboot replays the feed.
 	if err := p1.Durable().Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,104 +370,18 @@ func TestShardedRestart(t *testing.T) {
 	if got := shardedFingerprint(t, p2); got != want {
 		t.Error("recovered cluster answers diverge")
 	}
+	eng2, err := p2.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := durabilityReport(t, eng2); !st.Recovered || st.WALReplayed == 0 || st.FactRows != wantRows {
+		t.Errorf("rebooted leader reports recovered %v, %d WAL records replayed, %d fact rows; want true, > 0, %d",
+			st.Recovered, st.WALReplayed, st.FactRows, wantRows)
+	}
 
 	// Topology is pinned: reopening with a different shard count must
 	// refuse the directory, not silently re-partition.
 	if _, _, err := OpenShardedPipeline(cfg, dir, shards+1); err == nil {
 		t.Error("open with a different shard count succeeded; fingerprint should refuse it")
-	}
-}
-
-// TestDurableTopologiesReportAlike pins that both topologies report
-// durability through the engine's one persistence seam: a durable
-// single node and a durable 1-shard cluster fed the same workload agree
-// on every durability field of Stats and on the WAL metrics, both after
-// the feed and after a reboot that replays it.
-func TestDurableTopologiesReportAlike(t *testing.T) {
-	cfg := recoveryConfig()
-	nodeDir, clusterDir := t.TempDir(), t.TempDir()
-
-	type report struct {
-		Durable, Recovered             bool
-		WALReplayed, Members, FactRows int
-		WALSeq                         uint64
-		MetricWALSeq, MetricWALErrors  string
-	}
-	reportOf := func(eng *engine.Engine) report {
-		t.Helper()
-		var buf bytes.Buffer
-		if _, err := eng.Metrics().WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		metric := func(name string) string {
-			for _, line := range strings.Split(buf.String(), "\n") {
-				if v, ok := strings.CutPrefix(line, name+" "); ok {
-					return v
-				}
-			}
-			t.Fatalf("no %s in /metrics", name)
-			return ""
-		}
-		st := eng.Stats()
-		return report{st.Durable, st.Recovered, st.WALReplayed, st.Members, st.FactRows, st.WALSeq,
-			metric("dwqa_wal_seq"), metric("dwqa_wal_errors_total")}
-	}
-	var (
-		node                *Pipeline
-		cluster             *ShardedPipeline
-		nodeEng, clusterEng *engine.Engine
-	)
-	boot := func() {
-		t.Helper()
-		var err error
-		if node, _, err = OpenPipeline(cfg, nodeDir); err != nil {
-			t.Fatal(err)
-		}
-		if cluster, _, err = OpenShardedPipeline(cfg, clusterDir, 1); err != nil {
-			t.Fatal(err)
-		}
-		if nodeEng, err = node.Engine(); err != nil {
-			t.Fatal(err)
-		}
-		if clusterEng, err = cluster.Engine(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// compare checks the two topologies agree and returns the report.
-	compare := func(when string) report {
-		t.Helper()
-		nodeRep, clusterRep := reportOf(nodeEng), reportOf(clusterEng)
-		if nodeRep != clusterRep {
-			t.Errorf("%s: single node %+v, 1-shard cluster %+v", when, nodeRep, clusterRep)
-		}
-		return nodeRep
-	}
-
-	boot()
-	compare("fresh boot")
-	for _, s := range randomSlices(node.WeatherQuestions(), 5) {
-		if _, err := node.Step5FeedWarehouse(s); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cluster.Feed(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rep := compare("after the feed"); rep.WALSeq == 0 || rep.FactRows == 0 {
-		t.Fatalf("feed journaled nothing; the comparison would be vacuous: %+v", rep)
-	}
-	// Close without a final snapshot, so the reboot replays the feed.
-	if err := node.Store().Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Durable().Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	boot()
-	defer node.Store().Close()
-	defer cluster.Durable().Close()
-	if rep := compare("after reboot"); !rep.Recovered || rep.WALReplayed == 0 {
-		t.Fatalf("reboot did not recover and replay: %+v", rep)
 	}
 }

@@ -403,11 +403,11 @@ func hashFile(path string) (int64, string, error) {
 	return size, hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// snapshot publishes the current state (bounding future recovery work).
-// The seeder is the directory's only writer, so no commit quiesce is
-// needed.
+// snapshot publishes the current state (bounding future recovery work)
+// through the pipeline's snapshotter. The seeder is the directory's only
+// writer, so no commit quiesce is needed.
 func snapshot(p *core.Pipeline) error {
-	publish, err := p.ExportForSnapshot()
+	publish, err := p.Durable().ExportForSnapshot()
 	if err != nil {
 		return fmt.Errorf("seed: exporting state: %w", err)
 	}

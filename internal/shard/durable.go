@@ -8,24 +8,32 @@ import (
 	"dwqa/internal/store"
 )
 
-// Leader-side durability: a sharded cluster persists one store per
+// Leader-side durability: an N-shard cluster persists one store per
 // shard (root/shard-000, shard-001, …), each with its own WAL and
 // snapshot chain. A shard's journals attach to its own store, so every
 // shard's WAL records exactly what that shard applied — which is what
-// lets a replica rebuild any single shard independently.
+// lets a replica rebuild any single shard independently. A 1-shard
+// cluster keeps its one store in the root itself: the single-node
+// layout, byte for byte.
 
-// ShardDir returns shard i's data directory under the cluster root.
-func ShardDir(root string, i int) string {
+// ShardDir returns shard i's data directory under the root of an
+// n-shard cluster: the root itself when n is 1.
+func ShardDir(root string, i, n int) string {
+	if n == 1 {
+		return root
+	}
 	return filepath.Join(root, fmt.Sprintf("shard-%03d", i))
 }
 
 // DetectShards reports how many shards a cluster directory was created
 // with by counting its contiguous shard-NNN subdirectories, so CLIs can
 // reopen or follow a cluster without the operator restating -shards.
-// A root with no shard directories (fresh path, or a single-node store
-// layout) reports 0. A gap in the numbering is an error: it means the
-// directory was hand-edited and any shard count would silently drop
-// part of the data.
+// A root with no shard directories (fresh path, or the single-node
+// layout a 1-shard cluster keeps in the root) reports 0. A gap in the
+// numbering is an error: it means the directory was hand-edited and any
+// shard count would silently drop part of the data. So is a lone
+// shard-000: the layout an earlier 1-shard cluster wrote, which this
+// one no longer reads.
 func DetectShards(fsys store.FS, root string) (int, error) {
 	matches, err := fsys.Glob(filepath.Join(root, "shard-[0-9][0-9][0-9]"))
 	if err != nil {
@@ -44,6 +52,9 @@ func DetectShards(fsys store.FS, root string) (int, error) {
 	}
 	if n != len(found) {
 		return 0, fmt.Errorf("shard: %s holds a non-contiguous shard layout (%d shard dirs, contiguous run stops at %d)", root, len(found), n)
+	}
+	if n == 1 {
+		return 0, fmt.Errorf("shard: %s holds a 1-shard cluster in shard-000/, a layout no longer read; a 1-shard cluster keeps its store in the root: move the contents of %s into %s", root, filepath.Join(root, "shard-000"), root)
 	}
 	return n, nil
 }
@@ -73,8 +84,12 @@ func NewDurable(c *Cluster, root string, stores []*store.Store, onto *ontology.O
 
 // ShardFingerprint stamps the cluster fingerprint with a shard's
 // position, so a shard's snapshot refuses to load into the wrong slot
-// or a different topology.
+// or a different topology. A 1-shard cluster's one store keeps the
+// unstamped fingerprint of the single-node layout.
 func ShardFingerprint(fingerprint string, i, n int) string {
+	if n == 1 {
+		return fingerprint
+	}
 	return fmt.Sprintf("%s shard=%d/%d", fingerprint, i, n)
 }
 
@@ -97,7 +112,7 @@ func (d *Durable) AttachJournals() {
 // sequence stamp are mutually consistent — and returns a publish
 // closure that writes all N snapshots unlocked. The aggregate info
 // reports the cluster root, summed bytes and the highest shard
-// sequence.
+// sequence; a 1-shard cluster reports its one snapshot as written.
 func (d *Durable) ExportForSnapshot() (func() (store.SnapshotInfo, error), error) {
 	states := make([]*store.State, d.c.Shards())
 	for i := range d.stores {
@@ -114,6 +129,9 @@ func (d *Durable) ExportForSnapshot() (func() (store.SnapshotInfo, error), error
 		agg := store.SnapshotInfo{Path: d.root, WALReset: true}
 		for i, st := range d.stores {
 			info, err := st.WriteSnapshot(states[i])
+			if len(d.stores) == 1 {
+				return info, err
+			}
 			if err != nil {
 				return store.SnapshotInfo{}, fmt.Errorf("shard %d: %w", i, err)
 			}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"dwqa/internal/dw"
-	"dwqa/internal/ir"
 	"dwqa/internal/store"
 )
 
@@ -78,7 +76,7 @@ func (f *Follower) Bootstrap() ([]*store.State, error) {
 	defer f.mu.Unlock()
 	states := make([]*store.State, f.c.Shards())
 	for i := 0; i < f.c.Shards(); i++ {
-		state, _, err := store.ReadSnapshot(f.fs, ShardDir(f.root, i))
+		state, _, err := store.ReadSnapshot(f.fs, ShardDir(f.root, i, f.c.Shards()))
 		if err != nil {
 			return nil, fmt.Errorf("follower shard %d: %w", i, err)
 		}
@@ -93,22 +91,10 @@ func (f *Follower) Bootstrap() ([]*store.State, error) {
 	return states, nil
 }
 
-// installLocked builds a fresh node from a snapshot state and swaps it
-// in. Caller holds f.mu.
+// installLocked swaps in a node imported from a snapshot state. Caller
+// holds f.mu.
 func (f *Follower) installLocked(i int, state *store.State) error {
-	wh, err := dw.New(f.c.Schema())
-	if err != nil {
-		return err
-	}
-	if err := wh.Import(state.DW); err != nil {
-		return fmt.Errorf("warehouse import: %w", err)
-	}
-	ix := ir.NewIndex(f.c.irOpts...)
-	if err := ix.Import(state.IR); err != nil {
-		return fmt.Errorf("index import: %w", err)
-	}
-	f.c.SetNode(i, &Node{WH: wh, IX: ix})
-	if err := f.c.ReindexShard(i); err != nil {
+	if err := f.c.InstallState(i, state); err != nil {
 		return err
 	}
 	f.applied[i] = state.WALSeq
@@ -138,7 +124,7 @@ func (f *Follower) Poll() (int, error) {
 
 // pollShardLocked runs the catch-up protocol for one shard.
 func (f *Follower) pollShardLocked(i int) (int, error) {
-	dir := ShardDir(f.root, i)
+	dir := ShardDir(f.root, i, f.c.Shards())
 	applied, newSeq, err := store.TailWAL(f.fs, dir, f.applied[i], f.c.ReplayHandlers(i))
 	if errors.Is(err, store.ErrReplicaGap) {
 		n, rerr := f.reloadLocked(i)
@@ -163,7 +149,7 @@ func (f *Follower) pollShardLocked(i int) (int, error) {
 // reloadLocked performs the full-reload arm of the protocol: newest
 // snapshot in, node swapped, WAL tailed from the snapshot's sequence.
 func (f *Follower) reloadLocked(i int) (int, error) {
-	dir := ShardDir(f.root, i)
+	dir := ShardDir(f.root, i, f.c.Shards())
 	state, _, err := store.ReadSnapshot(f.fs, dir)
 	if err != nil {
 		return 0, err

@@ -25,6 +25,9 @@ import (
 // serialises through the cluster lock, so ordinals are dense and in
 // ingest order — the property the federated tie-break relies on.
 func (c *Cluster) AddDocument(doc ir.Document, key string) error {
+	if c.n == 1 {
+		return c.Node(0).IX.AddBatch([]ir.Document{doc})
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.hashShard(key)
@@ -59,6 +62,9 @@ func (c *Cluster) HasURL(url string) bool {
 // handlers per replay: a follower's snapshot reload swaps the node.
 func (c *Cluster) ReplayHandlers(i int) store.ReplayHandlers {
 	node := c.Node(i)
+	if c.n == 1 {
+		return store.ReplayHandlers{Batch: node.WH.AddBatch, Documents: node.IX.AddBatch}
+	}
 	return store.ReplayHandlers{
 		Batch: node.WH.AddBatch,
 		Documents: func(docs []ir.Document) error {
@@ -83,6 +89,9 @@ func (c *Cluster) ReplayHandlers(i int) store.ReplayHandlers {
 // follower's post-reload step and the leader's post-recovery step. Any
 // stale entries pointing at shard i are dropped first.
 func (c *Cluster) ReindexShard(i int) error {
+	if c.n == 1 {
+		return nil
+	}
 	node := c.Node(i)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -126,6 +135,9 @@ func (c *Cluster) PassageCount() int {
 // contract consumers (qa's location extraction) hold after Search
 // rewrote DocIndex to the ordinal.
 func (c *Cluster) Document(i int) (ir.Document, error) {
+	if c.n == 1 {
+		return c.Node(0).IX.Document(i)
+	}
 	c.mu.RLock()
 	loc, ok := c.ordDoc[int64(i)]
 	c.mu.RUnlock()
@@ -141,6 +153,9 @@ func (c *Cluster) Document(i int) (ir.Document, error) {
 // so downstream consumers address documents through Cluster.Document
 // exactly as they would a single index.
 func (c *Cluster) Search(terms []string, k int) []ir.Passage {
+	if c.n == 1 {
+		return c.Node(0).IX.Search(terms, k)
+	}
 	if len(terms) == 0 || k <= 0 {
 		return nil
 	}
@@ -237,6 +252,9 @@ func mergeTopK(parts [][]ir.Passage, k int) []ir.Passage {
 // order — (ordinal, window start) ascending reproduces the single
 // index's passage-id order.
 func (c *Cluster) AllPassages() []ir.Passage {
+	if c.n == 1 {
+		return c.Node(0).IX.AllPassages()
+	}
 	var all []ir.Passage
 	for i := 0; i < c.n; i++ {
 		all = append(all, c.Node(i).IX.AllPassages()...)
@@ -252,8 +270,7 @@ func (c *Cluster) AllPassages() []ir.Passage {
 }
 
 // rewriteOrdinals replaces each passage's shard-local document index
-// with its global ordinal, the address Cluster.Document resolves. On a
-// 1-shard cluster this is the identity: local index == ordinal.
+// with its global ordinal, the address Cluster.Document resolves.
 func rewriteOrdinals(ps []ir.Passage) {
 	for i := range ps {
 		ps[i].DocIndex = int(ps[i].DocOrd)

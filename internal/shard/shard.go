@@ -17,6 +17,12 @@
 // global-statistics protocol in ir/federate.go. Single-writer
 // discipline: one process feeds the cluster; replicas (follower.go)
 // open shipped snapshots and tail the WAL read-only.
+//
+// A 1-shard cluster is its node: writes, reads and replay go straight
+// to shard 0's warehouse and index — no routing, no ordinals, no
+// scatter round — so the single-node deployment runs the code a bare
+// warehouse and index run, and its documents keep the ordinal 0 they
+// were indexed with.
 package shard
 
 import (
@@ -32,6 +38,7 @@ import (
 	"dwqa/internal/ir"
 	"dwqa/internal/mdm"
 	"dwqa/internal/obs"
+	"dwqa/internal/store"
 )
 
 // Node is one shard's stack: its slice of the fact columns and of the
@@ -151,6 +158,26 @@ func (c *Cluster) SetNode(i int, n *Node) {
 	c.nodes[i].Store(n)
 }
 
+// InstallState swaps shard i's node for one bulk-imported from a
+// snapshot state and rebuilds its ordinal entries — the restore step
+// leader recovery and a follower's reload share. Geometry comes from
+// the snapshot.
+func (c *Cluster) InstallState(i int, state *store.State) error {
+	wh, err := dw.New(c.schema)
+	if err != nil {
+		return err
+	}
+	if err := wh.Import(state.DW); err != nil {
+		return fmt.Errorf("restoring warehouse: %w", err)
+	}
+	ix := ir.NewIndex(c.irOpts...)
+	if err := ix.Import(state.IR); err != nil {
+		return fmt.Errorf("restoring index: %w", err)
+	}
+	c.SetNode(i, &Node{WH: wh, IX: ix})
+	return c.ReindexShard(i)
+}
+
 // SetMetrics attaches the warehouse work counters to every shard's
 // warehouse, and to any a later SetNode swaps in.
 func (c *Cluster) SetMetrics(m dw.Metrics) {
@@ -237,6 +264,9 @@ func overlayParent(specs []dw.MemberSpec, dim, level, name string) string {
 // committed — the single writer must treat that as fatal, exactly as a
 // half-applied WAL would be.
 func (c *Cluster) AddBatch(specs []dw.MemberSpec, fact string, rows []dw.FactRow) error {
+	if c.n == 1 {
+		return c.Node(0).WH.AddBatch(specs, fact, rows)
+	}
 	groups, err := c.groupRows(fact, rows, specs)
 	if err != nil {
 		return err
@@ -276,6 +306,9 @@ func (c *Cluster) Validate(q dw.Query) error { return c.Node(0).WH.Validate(q) }
 // single-node plan sorts them — and the aggregate is applied only after
 // the fold, so Avg/Count over partitioned rows match a single warehouse.
 func (c *Cluster) Execute(q dw.Query) (*dw.Result, error) {
+	if c.n == 1 {
+		return c.Node(0).WH.Execute(q)
+	}
 	parts := make([][]dw.CellRow, c.n)
 	errs := make([]error, c.n)
 	fanout := c.fanout.Load()

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -42,7 +45,7 @@ func testSchema() *mdm.Schema {
 // buildTestState assembles a populated State: warehouse rows with
 // provenance and attributes, an index over real prose, an ontology with
 // instances and axioms.
-func buildTestState(t *testing.T) *State {
+func buildTestState(t testing.TB) *State {
 	t.Helper()
 	wh, err := dw.New(testSchema())
 	if err != nil {
@@ -122,6 +125,56 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := ontology.FromSnapshot(got.Onto); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FuzzDecodeState: every boot restores through DecodeState, so arbitrary
+// bytes must come back as an error, never a panic. Each input is decoded
+// as given and resealed with a valid checksum, so mutations reach the
+// section decoders past the checksum gate. Whatever decodes re-encodes
+// to a fixed point: decoding that encoding succeeds and encodes to the
+// same bytes. The seeds are encodings of small valid states, which must
+// round-trip byte for byte.
+func FuzzDecodeState(f *testing.F) {
+	for _, st := range []*State{
+		{DW: &dw.Snapshot{}, IR: &ir.Snapshot{}, Onto: &ontology.Snapshot{}},
+		{WALSeq: 3, Fingerprint: "seed=1", DW: &dw.Snapshot{}, IR: &ir.Snapshot{}, Onto: &ontology.Snapshot{Name: "o"}},
+		buildTestState(f),
+	} {
+		enc := EncodeState(st)
+		got, err := DecodeState(enc)
+		if err != nil {
+			f.Fatalf("valid state does not decode: %v", err)
+		}
+		if !bytes.Equal(EncodeState(got), enc) {
+			f.Fatal("valid state does not round-trip byte for byte")
+		}
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodeFixedPoint(t, data)
+		if len(data) >= 4 {
+			body := data[: len(data)-4 : len(data)-4]
+			decodeFixedPoint(t, binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crcTable)))
+		}
+	})
+}
+
+// decodeFixedPoint decodes data and, when that succeeds, checks that its
+// re-encoding is a fixed point of decode∘encode.
+func decodeFixedPoint(t *testing.T, data []byte) {
+	st, err := DecodeState(data)
+	if err != nil {
+		return
+	}
+	enc := EncodeState(st)
+	again, err := DecodeState(enc)
+	if err != nil {
+		t.Fatalf("re-encoded state does not decode: %v", err)
+	}
+	if !bytes.Equal(EncodeState(again), enc) {
+		t.Fatal("re-encoded state is not a fixed point")
 	}
 }
 
