@@ -38,13 +38,16 @@
 //
 // The serve API:
 //
-//	POST /ask        {"question": "..."}      one answer (factoid or OLAP)
+//	POST /ask        {"question": "..."}      one answer (factoid, or OLAP plan + rows)
 //	POST /ask/batch  {"questions": [...]}     batched answers, input order
-//	POST /ask/olap   {"question": "..."}      the analytic path: plan + table
+//	POST /ask/olap   {"question": "..."}      the analytic path: plan + rows + table
 //	POST /harvest    {"questions": [...]}     Step 5 feed (empty = default workload)
 //	GET  /trace?q=…                           the paper's Table 1 trace
 //	GET  /healthz                             serving statistics
 //	GET  /metrics                             Prometheus text exposition
+//
+// JSON replies are compact, one line each; only /ask/olap draws the
+// result as a text "table" (the CLI output above stays human-formatted).
 //
 // Observability: every request is access-logged (method, path, status,
 // outcome class, latency) unless -quiet; -slow-query DUR logs a

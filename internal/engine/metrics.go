@@ -24,10 +24,21 @@ type engineMetrics struct {
 	queueWait     *obs.Histogram
 	walFsync      *obs.Histogram
 	snapshotBytes *obs.Gauge
+	// responseBytes counts reply bytes per JSON route, keyed by path.
+	responseBytes map[string]*obs.Counter
 }
+
+// jsonRoutes are the routes whose replies dwqa_response_bytes_total
+// counts: every route that answers in JSON alone.
+var jsonRoutes = []string{"/ask", "/ask/batch", "/ask/olap", "/harvest", "/healthz"}
 
 func newEngineMetrics() *engineMetrics {
 	reg := obs.NewRegistry()
+	responseBytes := make(map[string]*obs.Counter, len(jsonRoutes))
+	for _, route := range jsonRoutes {
+		responseBytes[route] = reg.Counter("dwqa_response_bytes_total",
+			"Reply bytes written, per JSON route.", obs.L("route", route))
+	}
 	return &engineMetrics{
 		reg:    reg,
 		tracer: obs.NewTracer(reg),
@@ -49,6 +60,7 @@ func newEngineMetrics() *engineMetrics {
 			"WAL fsync latency.", obs.IOBuckets),
 		snapshotBytes: reg.Gauge("dwqa_snapshot_bytes",
 			"Size of the last published snapshot."),
+		responseBytes: responseBytes,
 	}
 }
 

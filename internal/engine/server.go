@@ -14,6 +14,7 @@ import (
 
 	"dwqa/internal/etl"
 	"dwqa/internal/nl2olap"
+	"dwqa/internal/obs"
 	"dwqa/internal/qa"
 	"dwqa/internal/sbparser"
 	"dwqa/internal/store"
@@ -35,16 +36,22 @@ const (
 //
 //	POST /ask        {"question": "..."}        → one answer (factoid or,
 //	                                              when classified analytic,
-//	                                              the OLAP result table)
+//	                                              the OLAP plan and rows)
 //	POST /ask/batch  {"questions": ["...",…]}   → answers in input order
 //	POST /ask/olap   {"question": "..."}        → the analytic path only:
-//	                                              compiled plan + table
+//	                                              plan + rows + table
 //	POST /harvest    {"questions": ["...",…]}   → Step 5 feed (empty body
 //	                                              or list = default workload)
 //	GET  /trace?q=…                             → the paper's Table 1 trace
 //	GET  /healthz                               → serving statistics
 //	GET  /metrics                               → Prometheus text exposition
 //	                                              of the engine's registry
+//
+// Every JSON reply, error bodies included, is one compact line ending in
+// "\n". Only /ask/olap carries "table", the result drawn as text
+// (dw.Result.Format); /ask and /ask/batch carry the same result as "rows"
+// alone. Each reply is encoded once: its encode time is the "encode"
+// stage and its size counts into dwqa_response_bytes_total{route}.
 //
 // QA-level failures (a question no pattern matches) are reported per item
 // in the JSON payload; transport and resilience failures use status
@@ -92,7 +99,7 @@ func NewServerWith(e *Engine, opts ServerOptions) http.Handler {
 			return
 		}
 		res := e.Ask(r.Context(), req.Question)
-		writeJSONStatus(e, w, askStatus([]AskResult{res}), askJSON(res))
+		writeJSON(e, w, askStatus([]AskResult{res}), askJSON(res))
 	})
 	mux.HandleFunc("POST /ask/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
@@ -118,7 +125,7 @@ func NewServerWith(e *Engine, opts ServerOptions) http.Handler {
 		}
 		// A 504 or 500 batch still carries every completed answer; the
 		// status tells the client the batch as a whole was cut short.
-		writeJSONStatus(e, w, askStatus(results), out)
+		writeJSON(e, w, askStatus(results), out)
 	})
 	mux.HandleFunc("POST /ask/olap", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
@@ -144,7 +151,9 @@ func NewServerWith(e *Engine, opts ServerOptions) http.Handler {
 			httpError(e, w, code, err.Error())
 			return
 		}
-		writeJSON(w, toOLAPJSON(ans))
+		out := toOLAPJSON(ans)
+		out.Table = ans.Result.Format()
+		writeJSON(e, w, http.StatusOK, out)
 	})
 	mux.HandleFunc("POST /harvest", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
@@ -170,13 +179,13 @@ func NewServerWith(e *Engine, opts ServerOptions) http.Handler {
 				// extraction got, per item, alongside the timeout.
 				out := harvestJSON(e, items, nil)
 				out.Error = err.Error()
-				writeJSONStatus(e, w, code, out)
+				writeJSON(e, w, code, out)
 				return
 			}
 			httpError(e, w, code, err.Error())
 			return
 		}
-		writeJSON(w, harvestJSON(e, items, total))
+		writeJSON(e, w, http.StatusOK, harvestJSON(e, items, total))
 	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
 		question := r.URL.Query().Get("q")
@@ -202,7 +211,7 @@ func NewServerWith(e *Engine, opts ServerOptions) http.Handler {
 		if st.State != "ready" {
 			status = st.State
 		}
-		writeJSON(w, struct {
+		writeJSON(e, w, http.StatusOK, struct {
 			Status string `json:"status"`
 			Stats
 		}{Status: status, Stats: st})
@@ -218,10 +227,12 @@ func NewServerWith(e *Engine, opts ServerOptions) http.Handler {
 // servers, so a panic line and its access line correlate.
 var requestID atomic.Uint64
 
-// statusWriter captures the response status for the access log.
+// statusWriter captures the response status for the access log and the
+// body size for dwqa_response_bytes_total.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	bytes  int
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -235,7 +246,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}
-	return w.ResponseWriter.Write(b)
+	n, err := w.ResponseWriter.Write(b)
+	w.bytes += n
+	return n, err
 }
 
 // outcomeClass folds a response status into the outcome vocabulary the
@@ -264,7 +277,8 @@ func outcomeClass(status int) string {
 // recovers panics that escape the engine's own worker-level nets
 // (handler bugs, encoding panics) into a logged 500 for this one
 // request instead of a dead process, and — unless Quiet — emits one
-// structured access line per request. The panic response may land on a
+// structured access line per request. It also adds each reply's size to
+// its JSON route's dwqa_response_bytes_total. The panic response may land on a
 // partially-written body; WriteHeader on a written response is a no-op
 // and the client sees a truncated body — still strictly better than
 // losing every other in-flight request.
@@ -282,6 +296,9 @@ func requestMiddleware(e *Engine, opts ServerOptions, next http.Handler) http.Ha
 				e.met.panicTotal.Inc()
 				logf("req=%d panic recovered serving %s %s: %v", id, r.Method, r.URL.Path, rec)
 				httpError(e, sw, http.StatusInternalServerError, fmt.Sprintf("internal error: panic: %v", rec))
+			}
+			if c := e.met.responseBytes[r.URL.Path]; c != nil {
+				c.Add(uint64(sw.bytes))
 			}
 			if !opts.Quiet {
 				status := sw.status
@@ -367,13 +384,13 @@ type askResponse struct {
 }
 
 // olapJSON is the wire form of one analytic answer: the compiled plan and
-// its result table.
+// its result rows, plus the rows drawn as a text table on /ask/olap.
 type olapJSON struct {
 	Question string        `json:"question"`
 	Category string        `json:"category"`
 	Plan     string        `json:"plan"`
 	Rows     []olapRowJSON `json:"rows"`
-	Table    string        `json:"table"`
+	Table    string        `json:"table,omitempty"` // POST /ask/olap only
 }
 
 type olapRowJSON struct {
@@ -388,7 +405,6 @@ func toOLAPJSON(a *nl2olap.Answer) *olapJSON {
 		Category: string(qa.CatAnalytic),
 		Plan:     a.PlanString(),
 		Rows:     make([]olapRowJSON, len(a.Result.Rows)),
-		Table:    a.Result.Format(),
 	}
 	for i, r := range a.Result.Rows {
 		out.Rows[i] = olapRowJSON{Groups: r.Groups, Value: r.Value, Count: r.Count}
@@ -476,16 +492,29 @@ func toAnswerJSON(a qa.Answer) *answerJSON {
 // dateJSON renders a (possibly partial) date as ISO-style "2004-01-31",
 // "2004-01" or "2004"; "" when nothing was recognised.
 func dateJSON(d sbparser.DateRef) string {
-	switch {
-	case d.Year != 0 && d.Month != 0 && d.Day != 0:
-		return fmt.Sprintf("%04d-%02d-%02d", d.Year, d.Month, d.Day)
-	case d.Year != 0 && d.Month != 0:
-		return fmt.Sprintf("%04d-%02d", d.Year, d.Month)
-	case d.Year != 0:
-		return fmt.Sprintf("%04d", d.Year)
-	default:
+	if d.Year == 0 {
 		return ""
 	}
+	var buf [len("2004-01-31")]byte
+	b := appendPadded(buf[:0], d.Year, 4)
+	if d.Month != 0 {
+		b = appendPadded(append(b, '-'), d.Month, 2)
+		if d.Day != 0 {
+			b = appendPadded(append(b, '-'), d.Day, 2)
+		}
+	}
+	return string(b)
+}
+
+// appendPadded appends a non-negative n in decimal, zero-padded to width
+// digits (fmt's %0*d).
+func appendPadded(b []byte, n, width int) []byte {
+	for p := 10; width > 1; width, p = width-1, p*10 {
+		if n < p {
+			b = append(b, '0')
+		}
+	}
+	return strconv.AppendInt(b, int64(n), 10)
 }
 
 func decodeJSON(e *Engine, w http.ResponseWriter, r *http.Request, dst any) bool {
@@ -521,38 +550,36 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	writeJSONStatus(nil, w, http.StatusOK, v)
+// errorJSON is the wire form of a request-level error.
+type errorJSON struct {
+	Error string `json:"error"`
 }
 
-// setRetryAfter stamps the load-derived backoff hint on a 429. e may be
-// nil only on paths that cannot produce a 429 (writeJSON).
-func setRetryAfter(e *Engine, w http.ResponseWriter) {
-	secs := 1
-	if e != nil {
-		secs = e.RetryAfterSeconds()
+// httpError replies with a request-level error through writeJSON.
+func httpError(e *Engine, w http.ResponseWriter, code int, msg string) {
+	writeJSON(e, w, code, errorJSON{Error: msg})
+}
+
+// writeJSON is the one reply writer of the JSON routes: it encodes v once,
+// compactly, times that into the encode stage, and writes the headers
+// (Content-Type, Retry-After on a 429), the status and the body as one
+// line ending in "\n". A value that cannot be encoded (a NaN or infinite
+// float) turns into a 500 error body instead of a silently empty 200.
+func writeJSON(e *Engine, w http.ResponseWriter, code int, v any) {
+	start := time.Now()
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(errorJSON{Error: "encoding reply: " + err.Error()})
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
-
-func writeJSONStatus(e *Engine, w http.ResponseWriter, code int, v any) {
+	body = append(body, '\n')
+	e.StageHistogram(obs.StageEncode).Observe(time.Since(start))
 	w.Header().Set("Content-Type", "application/json")
 	if code == http.StatusTooManyRequests {
-		setRetryAfter(e, w)
+		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfterSeconds()))
 	}
 	if code != http.StatusOK {
 		w.WriteHeader(code)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func httpError(e *Engine, w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	if code == http.StatusTooManyRequests {
-		setRetryAfter(e, w)
-	}
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	_, _ = w.Write(body)
 }

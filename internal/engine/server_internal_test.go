@@ -2,10 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"dwqa/internal/obs"
+	"dwqa/internal/sbparser"
 )
 
 func TestOutcomeClass(t *testing.T) {
@@ -67,5 +71,46 @@ func TestRequestMiddlewarePanic(t *testing.T) {
 	id := lines[0][:strings.Index(lines[0], " ")]
 	if !strings.HasPrefix(lines[1], id+" ") {
 		t.Errorf("request ids differ: %q vs %q", lines[0], lines[1])
+	}
+}
+
+// TestDateJSON pins the wire form of answer dates to what the fmt-based
+// renderer ("%04d-%02d-%02d") produced.
+func TestDateJSON(t *testing.T) {
+	for _, c := range []struct {
+		d    sbparser.DateRef
+		want string
+	}{
+		{sbparser.DateRef{Year: 2004, Month: 1, Day: 31}, "2004-01-31"},
+		{sbparser.DateRef{Year: 2004, Month: 12, Day: 5}, "2004-12-05"},
+		{sbparser.DateRef{Year: 2004, Month: 1}, "2004-01"},
+		{sbparser.DateRef{Year: 2004}, "2004"},
+		{sbparser.DateRef{Year: 2004, Day: 7}, "2004"},
+		{sbparser.DateRef{}, ""},
+		{sbparser.DateRef{Month: 1, Day: 31}, ""},
+		{sbparser.DateRef{Year: 7, Month: 3, Day: 9}, "0007-03-09"},
+		{sbparser.DateRef{Year: 999, Month: 10}, "0999-10"},
+		{sbparser.DateRef{Year: 12345, Month: 1, Day: 2}, "12345-01-02"},
+	} {
+		if got := dateJSON(c.d); got != c.want {
+			t.Errorf("dateJSON(%+v) = %q, want %q", c.d, got, c.want)
+		}
+	}
+}
+
+// TestWriteJSONUnencodable: a reply JSON cannot carry (a NaN) becomes a
+// 500 error body, still one compact line, and the encode stage is timed.
+func TestWriteJSONUnencodable(t *testing.T) {
+	e := &Engine{met: newEngineMetrics()}
+	rec := httptest.NewRecorder()
+	writeJSON(e, rec, http.StatusOK, struct{ V float64 }{math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status = %d, want 500", rec.Code)
+	}
+	if body := rec.Body.String(); !strings.HasPrefix(body, `{"error":"encoding reply: `) || strings.Count(body, "\n") != 1 || !strings.HasSuffix(body, "}\n") {
+		t.Errorf("body = %q", body)
+	}
+	if n := e.met.tracer.StageHistogram(obs.StageEncode).Count(); n != 1 {
+		t.Errorf("encode stage observed %d times, want 1", n)
 	}
 }

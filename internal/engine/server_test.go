@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -546,11 +547,12 @@ func TestServerHarvest(t *testing.T) {
 }
 
 // TestServerAskRoutesAnalytic: POST /ask classifies and serves analytic
-// questions with the OLAP payload instead of a factoid answer.
+// questions with the OLAP payload (plan and rows, no text table) instead
+// of a factoid answer; POST /ask/olap adds the table.
 func TestServerAskRoutesAnalytic(t *testing.T) {
-	srv, _ := newServer(t)
-	resp, body := postJSON(t, srv.URL+"/ask",
-		`{"question": "What is the average temperature in Barcelona by month?"}`)
+	srv, eng := newServer(t)
+	const question = "What is the average temperature in Barcelona by month?"
+	resp, body := postJSON(t, srv.URL+"/ask", `{"question": "`+question+`"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
@@ -586,8 +588,23 @@ func TestServerAskRoutesAnalytic(t *testing.T) {
 	if len(payload.OLAP.Rows) != 3 { // January, February, March
 		t.Errorf("rows = %d, want 3 months", len(payload.OLAP.Rows))
 	}
-	if payload.OLAP.Table == "" {
-		t.Error("no rendered table")
+	if payload.OLAP.Table != "" || strings.Contains(string(body), `"table"`) {
+		t.Errorf("/ask carries a table: %s", body)
+	}
+
+	ans, err := eng.AskOLAP(context.Background(), question)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body = postJSON(t, srv.URL+"/ask/olap", `{"question": "`+question+`"}`)
+	var olap struct {
+		Table string `json:"table"`
+	}
+	if err := json.Unmarshal(body, &olap); err != nil {
+		t.Fatalf("%v in %s", err, body)
+	}
+	if want := ans.Result.Format(); olap.Table != want {
+		t.Errorf("/ask/olap table = %q, want Result.Format() %q", olap.Table, want)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // Per-request stage tracing. A Span is a fixed-size accumulator a
 // request stamps as it crosses the pipeline stages (NLP analysis, IR
 // retrieval, OLAP compile/execute, QA extraction, cache lookup, shard
-// fan-out, WAL append, snapshot publish); it lives on the caller's
-// stack, so tracing allocates nothing. Tracer.Finish folds the stamped
-// durations into the per-stage latency histograms and, when a
+// fan-out, WAL append, snapshot publish, reply encode); it lives on the
+// caller's stack, so tracing allocates nothing. Tracer.Finish folds the
+// stamped durations into the per-stage latency histograms and, when a
 // slow-query threshold is armed, logs a sampled per-stage breakdown for
 // requests over it.
 
@@ -29,6 +29,7 @@ const (
 	StageShardFanout
 	StageWALAppend
 	StageSnapshotPublish
+	StageEncode
 	// NumStages bounds the Span arrays; keep it last.
 	NumStages
 )
@@ -43,6 +44,7 @@ var stageNames = [NumStages]string{
 	"shard_fanout",
 	"wal_append",
 	"snapshot_publish",
+	"encode",
 }
 
 // String returns the stage's metric label ("ir_search", "wal_append").
