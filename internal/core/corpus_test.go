@@ -1,8 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"dwqa/internal/qa"
+	"dwqa/internal/sbparser"
+	"dwqa/internal/webcorpus"
 )
 
 func TestBuildScaledCorpus(t *testing.T) {
@@ -64,5 +69,37 @@ func TestBuildScaledCorpusTinyTarget(t *testing.T) {
 	}
 	if sc.Index.PassageCount() < 1 || sc.Pages != 1 {
 		t.Errorf("tiny corpus: passages=%d pages=%d", sc.Index.PassageCount(), sc.Pages)
+	}
+}
+
+// TestScaledCorpusMayQuestions asks a day-level question for every day
+// of one city's May: "May" before a day number is the month, so it is a
+// query term that selects the May page, and each answer is that day's
+// May value rather than a value from another month of the city.
+func TestScaledCorpusMayQuestions(t *testing.T) {
+	sc, err := BuildScaledCorpus(800, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPipeline(t)
+	if err := p.Integrate(); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := qa.NewSystem(p.Lexicon, p.Ontology, sc.Index, p.Config.QA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.TunePatterns(qa.WeatherPatterns()...)
+	city, year := sc.Cities[0], sc.Years[0]
+	for _, d := range webcorpus.WeatherSeries(city, year, 5, 7) {
+		q := fmt.Sprintf("What is the temperature in %s on May %d, %d?", city, d.Day, year)
+		res, err := sys.Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sbparser.DateRef{Year: year, Month: 5, Day: d.Day}
+		if res.Best == nil || res.Best.Date != want || res.Best.Value != float64(d.HighC) {
+			t.Errorf("%s: got %+v, want %d on %v", q, res.Best, d.HighC, want)
+		}
 	}
 }

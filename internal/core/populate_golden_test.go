@@ -69,7 +69,7 @@ func TestPopulatedWarehouseDigest(t *testing.T) {
 // index (document ordinals included) and ontology — of the integrated
 // and fed DefaultConfig pipeline, so a drift in any section of the
 // single-node layout shows up, not only in the warehouse.
-const goldenFedImage = "2fd851b94a6e189223bdc74c9747b3ef3c3ddc3733905c54036101dfaec803c1"
+const goldenFedImage = "ad0d8ab31a52d279ece262487c1a25bb18e211e147a103a596ab852a23e3cfb9"
 
 func TestFedSnapshotImageDigest(t *testing.T) {
 	p := runAll(t)

@@ -10,7 +10,6 @@ package etl
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"unicode"
@@ -110,24 +109,6 @@ type Report struct {
 func (r *Report) String() string {
 	return fmt.Sprintf("etl: %d normalized, %d loaded, %d duplicates skipped, %d rejected",
 		r.Normalized, r.Loaded, r.Skipped, len(r.Rejections))
-}
-
-// RejectionReasons aggregates rejection counts by reason, sorted.
-func (r *Report) RejectionReasons() []string {
-	counts := map[string]int{}
-	for _, rej := range r.Rejections {
-		counts[rej.Reason]++
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, fmt.Sprintf("%s ×%d", k, counts[k]))
-	}
-	return out
 }
 
 // Loader normalises QA answers and feeds them into a warehouse fact. It
@@ -368,21 +349,6 @@ func (l *Loader) LoadRecords(recs []WeatherRecord) (*Report, *Touched, error) {
 		return nil, nil, err
 	}
 	return rep, touched, nil
-}
-
-// LoadRecord loads one normalised record into the warehouse. It reports
-// whether the record was stored: records already loaded by this Loader
-// (same city, day and source page) are skipped, making repeated Step 5
-// runs idempotent.
-func (l *Loader) LoadRecord(rec WeatherRecord) (bool, error) {
-	rep, _, err := l.LoadRecords([]WeatherRecord{rec})
-	if err != nil {
-		return false, err
-	}
-	if len(rep.Rejections) > 0 {
-		return false, fmt.Errorf("etl: %s", rep.Rejections[0].Reason)
-	}
-	return rep.Loaded == 1, nil
 }
 
 // commitLocked deduplicates the record batches, commits the needed

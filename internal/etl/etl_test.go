@@ -193,9 +193,8 @@ func TestLoadCreatesHierarchyAndFacts(t *testing.T) {
 	if !strings.Contains(rep.String(), "3 loaded") {
 		t.Errorf("report string = %s", rep.String())
 	}
-	reasons := rep.RejectionReasons()
-	if len(reasons) != 1 || !strings.Contains(reasons[0], "out of range") {
-		t.Errorf("rejection reasons = %v", reasons)
+	if len(rep.Rejections) != 1 || !strings.Contains(rep.Rejections[0].Reason, "out of range") {
+		t.Errorf("rejections = %+v", rep.Rejections)
 	}
 }
 

@@ -29,15 +29,6 @@ func TestMetricsMath(t *testing.T) {
 	}
 }
 
-func TestMRR(t *testing.T) {
-	if v := MRR([]int{1, 2, 0}); math.Abs(v-0.5) > 1e-9 {
-		t.Errorf("MRR = %v, want 0.5", v)
-	}
-	if MRR(nil) != 0 {
-		t.Error("empty MRR should be 0")
-	}
-}
-
 func TestTableFormatAndMarkdown(t *testing.T) {
 	tbl := &Table{ID: "X", Title: "demo", Header: []string{"a", "b"}}
 	tbl.AddRow("one", 0.5)

@@ -49,20 +49,6 @@ func (m Metrics) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// MRR computes the mean reciprocal rank of 1-based ranks (0 = not found).
-func MRR(ranks []int) float64 {
-	if len(ranks) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range ranks {
-		if r > 0 {
-			sum += 1 / float64(r)
-		}
-	}
-	return sum / float64(len(ranks))
-}
-
 // Table is one experiment's result: an identifier matching DESIGN.md's
 // per-experiment index, a caption, and formatted rows.
 type Table struct {

@@ -315,6 +315,46 @@ func TestMonthDayHelpers(t *testing.T) {
 	}
 }
 
+// TestMayByContext pins the one month name that is also a modal: "may"
+// is the month — a proper noun and an index term — only in date context,
+// and the modal — never a term — everywhere else.
+func TestMayByContext(t *testing.T) {
+	cases := []struct {
+		text  string
+		month bool
+	}{
+		{"The temperature on May 3, 2004 was 20 degrees.", true},
+		{"What was the weather like in May of 2004?", true},
+		{"On the 12th of May, 1997 he opened a new bridge.", true},
+		{"Friday, May 3, 2004", true},
+		{"Barcelona Weather in May 2004 - Tourist Guide", true},
+		{"It may rain in Barcelona tomorrow.", false},
+		{"May I ask what the temperature is?", false},
+		{"Temperatures may reach 30 degrees.", false},
+	}
+	for _, c := range cases {
+		var tag Tag
+		for _, tok := range Analyze(c.text) {
+			if tok.Lemma == "may" {
+				tag = tok.Tag
+			}
+		}
+		term := false
+		for _, s := range SplitSentences(c.text) {
+			for _, l := range s.ContentLemmas() {
+				term = term || l == "may"
+			}
+		}
+		want := TagMD
+		if c.month {
+			want = TagNP
+		}
+		if tag != want || term != c.month {
+			t.Errorf("%q: may tagged %q, index term %v; want %q, %v", c.text, tag, term, want, c.month)
+		}
+	}
+}
+
 func TestAnalyzeOrdinals(t *testing.T) {
 	toks := Analyze("What is the weather like in John Wayne on the 12th of May, 1997?")
 	var found bool

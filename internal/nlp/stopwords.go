@@ -4,7 +4,9 @@ package nlp
 // paper contrasts QA and IR precisely on this point: "IR systems ...
 // usually discard what is known as stop-words", so the list lives here and
 // the IR substrate applies it, while the QA question analysis keeps every
-// token.
+// token. "may" is not listed: the tagger tags the modal MD, which is
+// never a content word, and the month NP, which is a term like any other
+// month name.
 var stopwords = map[string]bool{
 	"a": true, "an": true, "the": true, "of": true, "in": true, "on": true,
 	"at": true, "by": true, "for": true, "with": true, "from": true,
@@ -22,7 +24,7 @@ var stopwords = map[string]bool{
 	"all": true, "each": true, "every": true, "some": true, "any": true,
 	"there": true, "here": true, "than": true, "then": true, "too": true,
 	"very": true, "can": true, "will": true, "would": true, "could": true,
-	"should": true, "may": true, "might": true, "must": true, "shall": true,
+	"should": true, "might": true, "must": true, "shall": true,
 	"like": true, "also": true, "just": true, "only": true, "such": true,
 }
 

@@ -1,6 +1,7 @@
 package nlp
 
 import (
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -92,7 +93,8 @@ func tagOne(toks []Token, i int, lower string) Tag {
 	}
 
 	// Month and weekday names are proper nouns in the paper's traces.
-	if _, ok := monthNames[lower]; ok {
+	// "may" is a month only in date context; otherwise it is the modal.
+	if _, ok := monthNames[lower]; ok && (lower != "may" || mayIsMonth(toks, i)) {
 		return TagNP
 	}
 	if dayNames[lower] {
@@ -129,6 +131,38 @@ func tagOne(toks []Token, i int, lower string) Tag {
 	}
 
 	return suffixTag(lower)
+}
+
+// mayIsMonth reports whether "may" at toks[i] stands in date context:
+// before a day number or a year ("May 3", "May 2004"), before "of" and a
+// year ("May of 2004"), or after "in", "of" or a day number ("in May",
+// "the 12th of May", "3 May").
+func mayIsMonth(toks []Token, i int) bool {
+	if i+1 < len(toks) {
+		next := toks[i+1].Text
+		if isDayNumber(next) || isYear(next) ||
+			strings.EqualFold(next, "of") && i+2 < len(toks) && isYear(toks[i+2].Text) {
+			return true
+		}
+	}
+	if i > 0 {
+		prev := toks[i-1].Text
+		return strings.EqualFold(prev, "in") || strings.EqualFold(prev, "of") || isDayNumber(prev)
+	}
+	return false
+}
+
+// isDayNumber reports whether text is a day of the month in digits,
+// ordinal suffix allowed ("3", "12th").
+func isDayNumber(text string) bool {
+	n, err := strconv.Atoi(stripOrdinal(text))
+	return err == nil && n >= 1 && n <= 31
+}
+
+// isYear reports whether text is a four-digit year.
+func isYear(text string) bool {
+	n, err := strconv.Atoi(text)
+	return err == nil && len(text) == 4 && n >= 1000
 }
 
 // suffixTag guesses the tag of an unknown lower-cased word from its suffix.

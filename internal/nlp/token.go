@@ -71,9 +71,6 @@ func (t Tag) IsNoun() bool {
 // IsPreposition reports whether the tag is IN or OF.
 func (t Tag) IsPreposition() bool { return t == TagIN || t == TagOF }
 
-// IsPunct reports whether the tag is punctuation (final or internal).
-func (t Tag) IsPunct() bool { return t == TagSENT || t == TagPunc }
-
 // Token is a single analysed token: surface form, byte offsets into the
 // original text, part-of-speech tag and lemma.
 type Token struct {

@@ -179,26 +179,3 @@ func (o *Ontology) InRange(concept string, value float64, unit string) (bool, er
 	}
 	return !sawRange, nil
 }
-
-// UnitKnown reports whether the unit spelling appears in any value-format
-// axiom of the concept.
-func (o *Ontology) UnitKnown(concept, unit string) bool {
-	c := o.Concept(concept)
-	if c == nil {
-		return false
-	}
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	for i := range c.Axioms {
-		a := &c.Axioms[i]
-		if a.Kind != AxiomValueFormat {
-			continue
-		}
-		for _, u := range a.Units {
-			if equalNormalized(u, unit) {
-				return true
-			}
-		}
-	}
-	return false
-}

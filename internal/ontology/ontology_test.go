@@ -1,7 +1,6 @@
 package ontology
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,19 +178,6 @@ func TestAxiomsConvertAndRange(t *testing.T) {
 	}
 }
 
-func TestUnitKnown(t *testing.T) {
-	o := New("ax")
-	temperatureAxioms(t, o)
-	for _, u := range []string{"ºC", "c", "Fahrenheit"} {
-		if !o.UnitKnown("Temperature", u) {
-			t.Errorf("UnitKnown(%q) = false", u)
-		}
-	}
-	if o.UnitKnown("Temperature", "kelvin") {
-		t.Error("kelvin should be unknown")
-	}
-}
-
 func TestAxiomValidation(t *testing.T) {
 	o := New("ax")
 	bad := []Axiom{
@@ -230,51 +216,6 @@ func TestConvertInverseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestOWLRoundTrip(t *testing.T) {
-	o := buildSample()
-	temperatureAxioms(t, o)
-	var buf bytes.Buffer
-	if err := o.WriteOWL(&buf); err != nil {
-		t.Fatalf("WriteOWL: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{"<Ontology", `name="LastMinuteSales"`, "El Prat", "SubClassOf", "NamedIndividual"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("OWL output missing %q", want)
-		}
-	}
-
-	back, err := ReadOWL(strings.NewReader(out))
-	if err != nil {
-		t.Fatalf("ReadOWL: %v", err)
-	}
-	if back.Size() != o.Size() {
-		t.Errorf("round trip size %d → %d", o.Size(), back.Size())
-	}
-	if back.InstanceCount() != o.InstanceCount() {
-		t.Errorf("round trip instances %d → %d", o.InstanceCount(), back.InstanceCount())
-	}
-	if !back.IsA("Airport", "Place") {
-		t.Error("round trip lost subclass edge")
-	}
-	concept, inst := back.FindInstance("el prat")
-	if concept != "Airport" || inst == nil || inst.Properties["locatedIn"] != "Barcelona" {
-		t.Error("round trip lost instance data")
-	}
-	if v, err := back.Convert("Temperature", 8, "C", "F"); err != nil || v != 46.4 {
-		t.Errorf("round trip lost conversion axiom: %v %v", v, err)
-	}
-	if err := back.Validate(); err != nil {
-		t.Errorf("round-tripped ontology invalid: %v", err)
-	}
-}
-
-func TestReadOWLMalformed(t *testing.T) {
-	if _, err := ReadOWL(strings.NewReader("<not-xml")); err == nil {
-		t.Error("malformed XML should fail")
 	}
 }
 

@@ -185,7 +185,7 @@ func WeatherPatterns() []QuestionPattern {
 // questionFacts holds the surface features pattern matching consumes.
 type questionFacts struct {
 	wh         string           // lemma of the leading wh-word ("" when none)
-	verbLemmas []string         // lemmas of the first verbal chunk
+	verbLemmas []string         // lemmas of the first verbal chunk, modals excluded
 	focus      *sbparser.Block  // first NP after the wh-word / verbal head
 	focusHead  string           // lemma of the focus head noun
 	blocks     []sbparser.Block // all blocks of the question
@@ -207,7 +207,9 @@ func extractFacts(toks []nlp.Token, blocks []sbparser.Block) questionFacts {
 	for i := range blocks {
 		if blocks[i].Type == sbparser.VBC {
 			for _, t := range blocks[i].Tokens {
-				f.verbLemmas = append(f.verbLemmas, t.Lemma)
+				if t.Tag != nlp.TagMD {
+					f.verbLemmas = append(f.verbLemmas, t.Lemma)
+				}
 			}
 			break
 		}

@@ -525,3 +525,23 @@ func TestAnswersCarryNoStateAcrossQuestions(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalysisMayTerms pins both readings of "may" in question analysis:
+// the month is a retrieval term, the modal is not.
+func TestAnalysisMayTerms(t *testing.T) {
+	s, _ := buildSystem(t, DefaultConfig(), true)
+	for q, want := range map[string]bool{
+		"What is the temperature in Barcelona on May 3, 2004?":       true,
+		"What was the weather like in May of 2004 in El Prat?":       true,
+		"What temperature may Barcelona reach in January of 2004?":   false,
+		"May I ask the temperature in Barcelona in January of 2004?": false,
+	} {
+		a, err := s.analyze(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.TermSet["may"] != want {
+			t.Errorf("%q: terms %v, want \"may\" among them: %v", q, a.Terms, want)
+		}
+	}
+}

@@ -1,11 +1,12 @@
 // Package qa implements the AliQAn question answering system of the
 // paper's evaluation: a two-phase architecture (indexation via the nlp,
-// sbparser, wsd and ir substrates; search via three sequential modules:
-// question analysis, selection of relevant passages, extraction of the
-// answer), with the 20-category answer-type taxonomy built on WordNet
-// base types and EuroWordNet top concepts, syntactic-semantic question
-// patterns, and the Step 4 tuning hooks that the integration model uses
-// to teach it new query types.
+// sbparser and ir substrates — AliQAn's word-sense disambiguation step is
+// not reproduced; search via three sequential modules: question
+// analysis, selection of relevant passages, extraction of the answer),
+// with the 20-category answer-type taxonomy built on WordNet base types
+// and EuroWordNet top concepts, syntactic-semantic question patterns,
+// and the Step 4 tuning hooks that the integration model uses to teach
+// it new query types.
 package qa
 
 import (

@@ -1,9 +1,8 @@
 package wordnet
 
 // This file implements graph traversal over the hypernym hierarchy:
-// ancestor paths, subsumption tests, transitive hyponym closures (the
-// "semantic preference to the hyponyms of country" mechanism of AliQAn's
-// question analysis) and similarity measures used by the WSD substrate.
+// ancestor paths, depth and subsumption tests (the "semantic preference
+// to the hyponyms of country" mechanism of AliQAn's question analysis).
 
 // hypernymsOf returns the direct hypernyms of a synset, treating
 // instance-of like is-a for traversal purposes.
@@ -108,106 +107,4 @@ func (w *WordNet) LemmaIsA(lemma string, pos POS, ancestorLemma string) bool {
 		}
 	}
 	return false
-}
-
-// HyponymClosure returns all transitive hyponyms (including instances) of
-// the synset, excluding itself.
-func (w *WordNet) HyponymClosure(id string) []string {
-	seen := map[string]bool{}
-	var order []string
-	var walk func(cur string)
-	walk = func(cur string) {
-		s := w.Synset(cur)
-		if s == nil {
-			return
-		}
-		kids := append([]string(nil), s.Related(Hyponym)...)
-		kids = append(kids, s.Related(InstanceHyponym)...)
-		for _, k := range kids {
-			if !seen[k] {
-				seen[k] = true
-				order = append(order, k)
-				walk(k)
-			}
-		}
-	}
-	walk(id)
-	return order
-}
-
-// LCS returns the lowest common subsumer of two synsets (the deepest
-// shared ancestor) and its depth, or ("", -1) when the synsets share no
-// ancestor.
-func (w *WordNet) LCS(a, b string) (string, int) {
-	if w.Synset(a) == nil || w.Synset(b) == nil {
-		return "", -1
-	}
-	ancA := w.Ancestors(a)
-	ancA[a] = true
-	ancB := w.Ancestors(b)
-	ancB[b] = true
-	best, bestDepth := "", -1
-	for id := range ancA {
-		if !ancB[id] {
-			continue
-		}
-		if d := w.Depth(id); d > bestDepth {
-			best, bestDepth = id, d
-		}
-	}
-	return best, bestDepth
-}
-
-// PathSimilarity returns 1/(1+shortestPathLength) between two synsets via
-// their LCS, in (0,1]; 0 when unrelated.
-func (w *WordNet) PathSimilarity(a, b string) float64 {
-	lcs, _ := w.LCS(a, b)
-	if lcs == "" {
-		return 0
-	}
-	da := w.minDistanceTo(a, lcs)
-	db := w.minDistanceTo(b, lcs)
-	if da < 0 || db < 0 {
-		return 0
-	}
-	return 1.0 / float64(1+da+db)
-}
-
-// WuPalmer returns the Wu-Palmer similarity 2*depth(lcs) /
-// (depth(a)+depth(b)); 0 when unrelated.
-func (w *WordNet) WuPalmer(a, b string) float64 {
-	lcs, dl := w.LCS(a, b)
-	if lcs == "" {
-		return 0
-	}
-	da, db := w.Depth(a), w.Depth(b)
-	if da+db == 0 {
-		return 1
-	}
-	return 2 * float64(dl) / float64(da+db)
-}
-
-// minDistanceTo returns the minimum number of hypernym edges from id up to
-// ancestor, or -1 when unreachable.
-func (w *WordNet) minDistanceTo(id, ancestor string) int {
-	type item struct {
-		id   string
-		dist int
-	}
-	queue := []item{{id, 0}}
-	seen := map[string]bool{id: true}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.id == ancestor {
-			return cur.dist
-		}
-		for _, p := range w.hypernymsOf(cur.id) {
-			if !seen[p] {
-				seen[p] = true
-				queue = append(queue, item{p, cur.dist + 1})
-			}
-		}
-	}
-	return -1
 }

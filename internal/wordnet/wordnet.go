@@ -2,7 +2,7 @@
 // in-memory WordNet-style lexical database with synsets, the full relation
 // inventory the paper lists (hypernym, hyponym, holonym, meronym, antonym,
 // synonymy via shared synsets), glosses, the 25 noun and 15 verb base
-// types, sense ordering and similarity measures.
+// types and sense ordering.
 //
 // The paper uses WordNet/EuroWordNet (~115k synsets). This reproduction
 // ships a hand-built seed lexicon (see seed.go) covering general
@@ -14,7 +14,6 @@ package wordnet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -248,34 +247,11 @@ func (w *WordNet) LookupAnyPOS(lemma string) []*Synset {
 	return out
 }
 
-// FirstSense returns the most frequent sense of the lemma for a POS, or
-// nil when unknown.
-func (w *WordNet) FirstSense(lemma string, pos POS) *Synset {
-	ss := w.Lookup(lemma, pos)
-	if len(ss) == 0 {
-		return nil
-	}
-	return ss[0]
-}
-
 // Size returns the number of synsets.
 func (w *WordNet) Size() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return len(w.synsets)
-}
-
-// Synsets returns all synset IDs in sorted order (for deterministic
-// iteration in reports and tests).
-func (w *WordNet) Synsets() []string {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	ids := make([]string, 0, len(w.synsets))
-	for id := range w.synsets {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // HasLemma reports whether any synset contains the lemma (any POS).

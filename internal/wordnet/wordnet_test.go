@@ -44,8 +44,8 @@ func TestLookup(t *testing.T) {
 	if len(ss) != 2 {
 		t.Fatalf("Lookup(new york) = %v, want 2 senses", ss)
 	}
-	if w.FirstSense("nonexistentword", Noun) != nil {
-		t.Error("FirstSense of unknown lemma should be nil")
+	if len(w.Lookup("nonexistentword", Noun)) != 0 {
+		t.Error("Lookup of unknown lemma should find no sense")
 	}
 }
 
@@ -141,43 +141,6 @@ func TestHypernymPathsAndDepth(t *testing.T) {
 	}
 	if d := w.Depth("nope"); d != -1 {
 		t.Errorf("Depth(unknown) = %d, want -1", d)
-	}
-}
-
-func TestHyponymClosure(t *testing.T) {
-	w := Seed()
-	clo := w.HyponymClosure("n.city")
-	found := map[string]bool{}
-	for _, id := range clo {
-		found[id] = true
-	}
-	for _, want := range []string{"n.barcelona", "n.madrid", "n.capital_city", "n.paris"} {
-		if !found[want] {
-			t.Errorf("HyponymClosure(city) missing %s", want)
-		}
-	}
-	if found["n.airport"] {
-		t.Error("airport must not be a hyponym of city")
-	}
-}
-
-func TestLCSAndSimilarity(t *testing.T) {
-	w := Seed()
-	lcs, _ := w.LCS("n.barcelona", "n.madrid")
-	// Both are cities (madrid via capital_city), so the LCS is city.
-	if lcs != "n.city" {
-		t.Errorf("LCS(barcelona, madrid) = %s, want n.city", lcs)
-	}
-	simClose := w.WuPalmer("n.barcelona", "n.madrid")
-	simFar := w.WuPalmer("n.barcelona", "n.sirius")
-	if simClose <= simFar {
-		t.Errorf("WuPalmer should rank barcelona~madrid (%f) above barcelona~sirius (%f)", simClose, simFar)
-	}
-	if s := w.PathSimilarity("n.airport", "n.airport"); s != 1 {
-		t.Errorf("PathSimilarity(self) = %f, want 1", s)
-	}
-	if s := w.PathSimilarity("n.airport", "nope"); s != 0 {
-		t.Errorf("PathSimilarity with unknown = %f, want 0", s)
 	}
 }
 
