@@ -78,18 +78,56 @@ type WeatherRecord struct {
 	Score     float64 // extraction confidence carried from the QA system
 }
 
+// The date keys sit on the loader's commit path, so they render into a
+// fixed buffer; a field outside 0..9999 (year) or 0..99 (month, day)
+// falls back to fmt, whose padding rules the buffer form matches.
+
 // DayKey renders the Date-dimension member name for the record's day.
 func (r WeatherRecord) DayKey() string {
-	return fmt.Sprintf("%04d-%02d-%02d", r.Year, r.Month, r.Day)
+	if !keyField(r.Year, 9999) || !keyField(r.Month, 99) || !keyField(r.Day, 99) {
+		return fmt.Sprintf("%04d-%02d-%02d", r.Year, r.Month, r.Day)
+	}
+	var b [10]byte
+	putDigits(b[0:4], r.Year)
+	b[4] = '-'
+	putDigits(b[5:7], r.Month)
+	b[7] = '-'
+	putDigits(b[8:10], r.Day)
+	return string(b[:])
 }
 
 // MonthKey renders the Date-dimension member name for the record's month.
 func (r WeatherRecord) MonthKey() string {
-	return fmt.Sprintf("%04d-%02d", r.Year, r.Month)
+	if !keyField(r.Year, 9999) || !keyField(r.Month, 99) {
+		return fmt.Sprintf("%04d-%02d", r.Year, r.Month)
+	}
+	var b [7]byte
+	putDigits(b[0:4], r.Year)
+	b[4] = '-'
+	putDigits(b[5:7], r.Month)
+	return string(b[:])
 }
 
 // YearKey renders the Date-dimension member name for the record's year.
-func (r WeatherRecord) YearKey() string { return fmt.Sprintf("%04d", r.Year) }
+func (r WeatherRecord) YearKey() string {
+	if !keyField(r.Year, 9999) {
+		return fmt.Sprintf("%04d", r.Year)
+	}
+	var b [4]byte
+	putDigits(b[:], r.Year)
+	return string(b[:])
+}
+
+// keyField reports whether v renders into a fixed-width key field.
+func keyField(v, hi int) bool { return v >= 0 && v <= hi }
+
+// putDigits writes v, zero-padded, into all of dst.
+func putDigits(dst []byte, v int) {
+	for i := len(dst) - 1; i >= 0; i-- {
+		dst[i] = byte('0' + v%10)
+		v /= 10
+	}
+}
 
 // Rejection explains why an answer did not become a record.
 type Rejection struct {

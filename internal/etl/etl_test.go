@@ -1,6 +1,7 @@
 package etl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -283,5 +284,32 @@ func TestLoaderWithoutOntologyFallbacks(t *testing.T) {
 	}
 	if _, reason := l.Normalize(answer(500, "C", "X", 2004, 1, 1)); !strings.Contains(reason, "out of range") {
 		t.Errorf("fallback range check missed: %q", reason)
+	}
+}
+
+// TestDateKeysMatchFmt pins the buffer-rendered date keys to the fmt
+// forms they replace, on the edges of the fixed-width fields and beyond
+// them (where the keys fall back to fmt).
+func TestDateKeysMatchFmt(t *testing.T) {
+	for _, r := range []WeatherRecord{
+		{Year: 2004, Month: 1, Day: 31},
+		{Year: 0, Month: 0, Day: 0},
+		{Year: 9999, Month: 99, Day: 99},
+		{Year: -5, Month: 7, Day: 4},
+		{Year: 12345, Month: 7, Day: 4},
+		{Year: 2004, Month: 100, Day: 1},
+		{Year: 2004, Month: 1, Day: 100},
+		{Year: 2004, Month: 0, Day: 100},
+		{Year: 2004, Month: -1, Day: -1},
+	} {
+		if got, want := r.DayKey(), fmt.Sprintf("%04d-%02d-%02d", r.Year, r.Month, r.Day); got != want {
+			t.Errorf("%+v DayKey = %q, want %q", r, got, want)
+		}
+		if got, want := r.MonthKey(), fmt.Sprintf("%04d-%02d", r.Year, r.Month); got != want {
+			t.Errorf("%+v MonthKey = %q, want %q", r, got, want)
+		}
+		if got, want := r.YearKey(), fmt.Sprintf("%04d", r.Year); got != want {
+			t.Errorf("%+v YearKey = %q, want %q", r, got, want)
+		}
 	}
 }

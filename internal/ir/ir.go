@@ -26,8 +26,10 @@ package ir
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dwqa/internal/nlp"
 )
@@ -203,52 +205,119 @@ func (ix *Index) sentencesLocked(d, from, to int) []nlp.Sentence {
 	return decodeTokenWindow(s.block, ix.docs[d].Text, from, to, int(s.nSents), int(s.nToks), ix.tokTags, ix.tokLemmas)
 }
 
-// splitDoc validates and sentence-splits one document outside the lock.
-func splitDoc(doc Document) ([]nlp.Sentence, error) {
-	if strings.TrimSpace(doc.Text) == "" {
-		return nil, fmt.Errorf("ir: empty document %q", doc.URL)
-	}
-	sents := nlp.SplitSentences(doc.Text)
-	if len(sents) == 0 {
-		return nil, fmt.Errorf("ir: no sentences in document %q", doc.URL)
-	}
-	return sents, nil
+// Batch is a document batch analysed by AnalyseBatch and not yet
+// installed: per document, its sentences and each sentence's content
+// lemmas. Analysis touches no index state, so a batch can be prepared
+// while another commits; Add installs it.
+type Batch struct {
+	docs   []Document
+	sents  [][]nlp.Sentence
+	lemmas [][][]string // document → sentence → content lemmas, in text order
 }
 
-// AddBatch is the index's only write: it indexes a batch of documents —
-// sentence split, lemmatisation, stopword removal, passage windowing — as
-// one write-lock acquisition and one journal record (Journal.LogDocuments
-// — one fsync however large the batch). Every document is validated and
-// sentence-split before the first one is installed, so an empty or
-// sentence-less document rejects the whole batch with the index
-// untouched; this is the streaming seeder's commit unit.
-func (ix *Index) AddBatch(docs []Document) error {
-	if len(docs) == 0 {
+// AnalyseBatch validates and analyses documents — sentence split,
+// tagging, lemmatisation, stopword removal — fanning the documents out
+// over runtime.GOMAXPROCS(0) workers (a one-document batch runs inline).
+// An empty or sentence-less document fails the whole batch; the error
+// names the lowest failing document index, as a serial loop would.
+func AnalyseBatch(docs []Document) (*Batch, error) {
+	b := &Batch{
+		docs:   docs,
+		sents:  make([][]nlp.Sentence, len(docs)),
+		lemmas: make([][][]string, len(docs)),
+	}
+	err := parallelFor(len(docs), func(i int) error {
+		d := docs[i]
+		if strings.TrimSpace(d.Text) == "" {
+			return fmt.Errorf("ir: batch document %d: empty document %q", i, d.URL)
+		}
+		sents := nlp.SplitSentences(d.Text)
+		if len(sents) == 0 {
+			return fmt.Errorf("ir: batch document %d: no sentences in document %q", i, d.URL)
+		}
+		lemmas := make([][]string, len(sents))
+		for j, s := range sents {
+			lemmas[j] = s.ContentLemmas()
+		}
+		b.sents[i], b.lemmas[i] = sents, lemmas
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// parallelFor calls fn(i) for every i in [0, n) on up to
+// runtime.GOMAXPROCS(0) goroutines, waits for all of them, and returns
+// the error of the lowest failing i. With one index or one processor it
+// runs inline.
+func parallelFor(n int, fn func(i int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
-	split := make([][]nlp.Sentence, len(docs))
-	for i, d := range docs {
-		sents, err := splitDoc(d)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return fmt.Errorf("ir: batch document %d: %w", i, err)
+			return err
 		}
-		split[i] = sents
+	}
+	return nil
+}
+
+// Add installs an analysed batch as one write-lock acquisition and one
+// journal record (Journal.LogDocuments — one fsync however large the
+// batch). With AnalyseBatch it is the index's only write path.
+func (ix *Index) Add(b *Batch) error {
+	if len(b.docs) == 0 {
+		return nil
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for i, d := range docs {
-		ix.addLocked(d, split[i])
+	for i, d := range b.docs {
+		ix.addLocked(d, b.sents[i], b.lemmas[i])
 	}
 	if ix.journal != nil {
-		if err := ix.journal.LogDocuments(docs); err != nil {
+		if err := ix.journal.LogDocuments(b.docs); err != nil {
 			return fmt.Errorf("ir: journal: %w", err)
 		}
 	}
 	return nil
 }
 
-// addLocked installs one pre-split document. Caller holds the write lock.
-func (ix *Index) addLocked(doc Document, sents []nlp.Sentence) {
+// AddBatch indexes a batch of documents: AnalyseBatch, then Add. Every
+// document is analysed before the first one is installed, so an empty or
+// sentence-less document rejects the whole batch with the index
+// untouched; this is the commit unit of feeds, WAL replay and the
+// streaming seeder.
+func (ix *Index) AddBatch(docs []Document) error {
+	b, err := AnalyseBatch(docs)
+	if err != nil {
+		return err
+	}
+	return ix.Add(b)
+}
+
+// addLocked installs one analysed document. Caller holds the write lock.
+func (ix *Index) addLocked(doc Document, sents []nlp.Sentence, lemmas [][]string) {
 	docIdx := len(ix.docs)
 	ix.docs = append(ix.docs, doc)
 	ix.docSents = append(ix.docSents, docSlot{sents: sents})
@@ -260,10 +329,9 @@ func (ix *Index) addLocked(doc Document, sents []nlp.Sentence) {
 	// ids are deterministic); the document stats and every overlapping
 	// window reuse the id slices instead of re-deriving lemmas.
 	sentTerms := make([][]int32, len(sents))
-	for i, s := range sents {
-		lemmas := s.ContentLemmas()
-		ids := make([]int32, len(lemmas))
-		for j, lemma := range lemmas {
+	for i, ls := range lemmas {
+		ids := make([]int32, len(ls))
+		for j, lemma := range ls {
 			ids[j] = ix.intern(lemma)
 		}
 		sentTerms[i] = ids

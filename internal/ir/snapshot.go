@@ -1,11 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // This file is the retrieval half of the durability subsystem
 // (internal/store): bulk export and import of the inverted index —
@@ -221,34 +216,14 @@ func (ix *Index) Import(snap *Snapshot) error {
 // an error path. It is the bulk of import-time CPU, but still an order of
 // magnitude cheaper than materialising every token eagerly.
 func (ix *Index) validateBlocks(snap *Snapshot) error {
-	var firstErr atomic.Pointer[error]
-	var wg sync.WaitGroup
-	next := atomic.Int64{}
-	workers := min(runtime.GOMAXPROCS(0), len(snap.Docs))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				d := int(next.Add(1)) - 1
-				if d >= len(snap.Docs) {
-					return
-				}
-				err := validateTokenBlock(snap.DocTokens[d], len(snap.Docs[d].Text),
-					int(snap.DocSents[d]), int(snap.DocToks[d]), len(snap.TokTags), len(snap.TokLemmas))
-				if err != nil {
-					err = fmt.Errorf("ir: import: document %q: %w", snap.Docs[d].URL, err)
-					firstErr.CompareAndSwap(nil, &err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if ep := firstErr.Load(); ep != nil {
-		return *ep
-	}
-	return nil
+	return parallelFor(len(snap.Docs), func(d int) error {
+		err := validateTokenBlock(snap.DocTokens[d], len(snap.Docs[d].Text),
+			int(snap.DocSents[d]), int(snap.DocToks[d]), len(snap.TokTags), len(snap.TokLemmas))
+		if err != nil {
+			return fmt.Errorf("ir: import: document %q: %w", snap.Docs[d].URL, err)
+		}
+		return nil
+	})
 }
 
 // Journal receives every successfully indexed batch — the redo log of
@@ -257,12 +232,12 @@ func (ix *Index) validateBlocks(snap *Snapshot) error {
 // including term ids (the dictionary is append-only in first-occurrence
 // order).
 type Journal interface {
-	// LogDocuments records one AddBatch commit as a single log record —
+	// LogDocuments records one Add commit as a single log record —
 	// one fsync per batch instead of per document.
 	LogDocuments(docs []Document) error
 }
 
-// SetJournal installs (or, with nil, removes) the redo journal. AddBatch
+// SetJournal installs (or, with nil, removes) the redo journal. Add
 // is the index's only write, so each subsequent batch is logged — one
 // LogDocuments call — under the write lock after its documents are fully
 // indexed: the log preserves indexing order and only acked documents

@@ -8,12 +8,18 @@
 //
 //   - pages arrive either from the generated scaled-corpus grid
 //     (core.ScaledPage — the benchmark corpus, produced positionally so
-//     no window of it is ever materialised beyond one batch) or from a
-//     JSONL file read line by line;
-//   - each batch commits through the same durable paths serving feeds
-//     use — ir.Index.AddBatch (one WAL record per batch of documents)
-//     and etl.Loader.LoadRecords (one combined members+rows WAL record)
-//     — so a crash at any point leaves a state WAL replay reconstructs;
+//     no window of it is ever materialised beyond two batches: the one
+//     committing and the one being prepared) or from a JSONL file read
+//     line by line;
+//   - ingestion is a two-stage pipeline with a look-ahead of one batch:
+//     while batch n commits, batch n+1 is read or generated and its
+//     documents analysed (ir.AnalyseBatch), the per-page work fanned
+//     out over runtime.GOMAXPROCS(0) goroutines in page order;
+//   - each batch commits, serially and in stream order, through the
+//     same durable paths serving feeds use — ir.Index.Add (one WAL
+//     record per batch of documents) and etl.Loader.LoadRecords (one
+//     combined members+rows WAL record) — so a crash at any point
+//     leaves a state WAL replay reconstructs;
 //   - after every committed batch a checkpoint (JSON: source
 //     fingerprint, pages consumed, the store's WAL sequence number) is
 //     atomically renamed into place. On resume the checkpoint is
@@ -38,7 +44,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -124,7 +132,10 @@ type Config struct {
 	CrashAfterBatches int
 	// Metrics, when set, is the registry the run's instruments land on
 	// (heap/RSS gauges, dwqa_seeder_pages_total, throughput and
-	// checkpoint-age gauges) so an embedding process can expose them.
+	// checkpoint-age gauges, and dwqa_seeder_wait_seconds_total — the
+	// time the commit loop waited for a prepared batch, which tells an
+	// ingest bound by preparation from one bound by commit) so an
+	// embedding process can expose them.
 	// Nil gives the run a private registry; the progress line reads the
 	// gauges either way.
 	Metrics *obs.Registry
@@ -216,6 +227,10 @@ func Run(cfg Config) (*Summary, error) {
 	reg.GaugeFunc("dwqa_seeder_pages_per_second",
 		"Ingest throughput over the last progress window.",
 		func() float64 { return math.Float64frombits(rateBits.Load()) })
+	var waitNanos atomic.Int64
+	reg.CounterFunc("dwqa_seeder_wait_seconds_total",
+		"Seconds the commit loop spent blocked waiting for the next prepared batch.",
+		func() float64 { return time.Duration(waitNanos.Load()).Seconds() })
 	var lastCkpt atomic.Int64 // unix nanos of the last checkpoint write; 0 = none yet
 	reg.GaugeFunc("dwqa_seeder_checkpoint_age_seconds",
 		"Seconds since the last committed checkpoint (-1 before the first).",
@@ -262,50 +277,60 @@ func Run(cfg Config) (*Summary, error) {
 	}
 	defer src.close()
 
+	// The run is a two-stage pipeline with a look-ahead of one batch:
+	// while the loop below commits batch n, one goroutine prepares batch
+	// n+1 (prepare). The look-ahead is issued once batch n is installed
+	// in the index, when the stop condition can be evaluated, so no
+	// batch is prepared past the stop; an outstanding one is waited for
+	// before Run returns on any path.
+	var ahead chan prepared
+	lookAhead := func() {
+		if cfg.met(p, sum) {
+			return
+		}
+		ch, at, n := make(chan prepared, 1), cursor, cfg.remaining(sum, cfg.BatchPages)
+		ahead = ch
+		go func() { ch <- prepare(src, p.Index, at, n) }()
+	}
+	defer func() {
+		if ahead != nil {
+			<-ahead
+		}
+	}()
+
 	batchesDone := 0
 	window := time.Now()
 	windowPages := 0
-	for {
-		if done := cfg.met(p, sum); done {
-			break
+	lookAhead()
+	for ahead != nil {
+		blocked := time.Now()
+		b := <-ahead
+		ahead = nil
+		waitNanos.Add(int64(time.Since(blocked)))
+		if b.err != nil {
+			return nil, b.err
 		}
-		pages, err := src.nextBatch(cfg.remaining(sum, cfg.BatchPages))
-		if err != nil {
-			return nil, err
-		}
-		if len(pages) == 0 {
+		if b.pages == 0 {
 			break // JSONL exhausted
 		}
-		docs := make([]ir.Document, 0, len(pages))
-		var recs []etl.WeatherRecord
-		for _, pg := range pages {
-			// HasURL makes re-processed pages (a resume over the tail the
-			// checkpoint had not covered) no-ops on the index; the loader's
-			// provenance dedup does the same for the records, so the two
-			// halves stay consistent even when a crash landed between
-			// their WAL records.
-			if !p.Index.HasURL(pg.URL) {
-				docs = append(docs, ir.Document{URL: pg.URL, Text: pg.Text})
-			}
-			recs = append(recs, pg.Records...)
+		at := cursor
+		if err := p.Index.Add(b.batch); err != nil {
+			return nil, fmt.Errorf("seed: indexing batch at page %d: %w", at, err)
 		}
-		if len(docs) > 0 {
-			if err := p.Index.AddBatch(docs); err != nil {
-				return nil, fmt.Errorf("seed: indexing batch at page %d: %w", cursor, err)
-			}
-			sum.DocsAdded += len(docs)
-		}
-		rep, _, err := p.Loader.LoadRecords(recs)
+		sum.DocsAdded += b.docs
+		cursor += b.pages
+		sum.PagesSeen += b.pages
+		windowPages += b.pages
+		batchesDone++
+		lookAhead()
+
+		rep, _, err := p.Loader.LoadRecords(b.recs)
 		if err != nil {
-			return nil, fmt.Errorf("seed: loading batch at page %d: %w", cursor, err)
+			return nil, fmt.Errorf("seed: loading batch at page %d: %w", at, err)
 		}
 		sum.Loaded += rep.Loaded
 		sum.Skipped += rep.Skipped
-		cursor += len(pages)
-		sum.PagesSeen += len(pages)
-		windowPages += len(pages)
-		batchesDone++
-		pagesTotal.Add(uint64(len(pages)))
+		pagesTotal.Add(uint64(b.pages))
 
 		if cfg.CrashAfterBatches > 0 && batchesDone >= cfg.CrashAfterBatches {
 			// Simulated kill: the WAL holds the batch, the checkpoint does
@@ -342,9 +367,48 @@ func Run(cfg Config) (*Summary, error) {
 	sum.Documents = p.Index.DocCount()
 	sum.WALSeq = st.Seq()
 	sum.Elapsed = time.Since(start)
-	logf("done: %d pages this run (%d docs indexed, %d rows, %d deduped), %d passages total, %v",
-		sum.PagesSeen, sum.DocsAdded, sum.Loaded, sum.Skipped, sum.Passages, sum.Elapsed.Round(time.Millisecond))
+	logf("done: %d pages this run (%d docs indexed, %d rows, %d deduped), %d passages total, %v (%v waiting for prepared batches)",
+		sum.PagesSeen, sum.DocsAdded, sum.Loaded, sum.Skipped, sum.Passages, sum.Elapsed.Round(time.Millisecond),
+		time.Duration(waitNanos.Load()).Round(time.Millisecond))
 	return sum, nil
+}
+
+// prepared is one batch made ready for commit by prepare.
+type prepared struct {
+	pages int       // stream pages consumed; 0 at the end of a JSONL stream
+	docs  int       // documents in batch: the pages the index did not hold
+	batch *ir.Batch // the analysed documents
+	recs  []etl.WeatherRecord
+	err   error
+}
+
+// prepare reads the next n pages, from stream position at, and analyses
+// the documents of those the index does not hold yet. It reads the index
+// only through HasURL: Run issues it after installing the previous batch
+// and installs nothing more until it has received the result.
+func prepare(src source, ix *ir.Index, at, n int) prepared {
+	pages, err := src.nextBatch(n)
+	if err != nil {
+		return prepared{err: err}
+	}
+	docs := make([]ir.Document, 0, len(pages))
+	var recs []etl.WeatherRecord
+	for _, pg := range pages {
+		// HasURL makes re-processed pages (a resume over the tail the
+		// checkpoint had not covered) no-ops on the index; the loader's
+		// provenance dedup does the same for the records, so the two
+		// halves stay consistent even when a crash landed between
+		// their WAL records.
+		if !ix.HasURL(pg.URL) {
+			docs = append(docs, ir.Document{URL: pg.URL, Text: pg.Text})
+		}
+		recs = append(recs, pg.Records...)
+	}
+	batch, err := ir.AnalyseBatch(docs)
+	if err != nil {
+		return prepared{err: fmt.Errorf("seed: indexing batch at page %d: %w", at, err)}
+	}
+	return prepared{pages: len(pages), docs: len(docs), batch: batch, recs: recs}
 }
 
 // met evaluates the stop conditions that are deterministic in the page
@@ -488,17 +552,25 @@ type gridSource struct {
 	seed int64
 }
 
+// nextBatch generates the pages on up to runtime.GOMAXPROCS(0)
+// goroutines: a page is a pure function of its grid position, and each
+// lands in its own slot, so the batch keeps page order.
 func (g *gridSource) nextBatch(n int) ([]Page, error) {
-	out := make([]Page, 0, n)
-	for i := 0; i < n; i++ {
-		pg := core.ScaledPage(g.next, g.seed)
-		g.next++
-		out = append(out, Page{
-			URL:     pg.URL,
-			Text:    webcorpus.ExtractText(pg.HTML),
-			Records: goldRecords(pg),
-		})
+	out := make([]Page, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				pg := core.ScaledPage(g.next+i, g.seed)
+				out[i] = Page{URL: pg.URL, Text: webcorpus.ExtractText(pg.HTML), Records: goldRecords(pg)}
+			}
+		}()
 	}
+	wg.Wait()
+	g.next += n
 	return out, nil
 }
 

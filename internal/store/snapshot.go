@@ -67,7 +67,7 @@ type State struct {
 // table is reserved up front and patched once the section offsets are
 // known.
 func EncodeState(st *State) []byte {
-	w := &writer{buf: make([]byte, 0, 1<<20)}
+	w := &writer{buf: make([]byte, 0, sizeHint(st))}
 	w.buf = append(w.buf, snapshotMagic...)
 	w.uvarint(SchemaVersion)
 	table := len(w.buf)
@@ -86,6 +86,59 @@ func EncodeState(st *State) []byte {
 	}
 	w.buf = appendCRC(w.buf)
 	return w.buf
+}
+
+// sizeHint bounds the encoded size of a state: the bulk — document
+// texts, token blocks, posting lists, fact columns, provenance — exactly,
+// plus a full-width varint for every length or count framing it. Encoding
+// into one buffer of that capacity spares a large image the chain of
+// re-grown copies an append-grown buffer leaves behind, which at 100k
+// passages allocated over twice the image's size and set the seeder's
+// peak memory. The small, nested ontology section rides in the slack.
+func sizeHint(st *State) int {
+	const v = binary.MaxVarintLen64
+	n := 1<<16 + len(st.Fingerprint)
+	if s := st.DW; s != nil {
+		for _, ds := range s.Dims {
+			for _, ls := range ds.Levels {
+				for _, m := range ls.Members {
+					n += 3*v + len(m.Name)
+					for k, val := range m.Attrs {
+						n += 2*v + len(k) + len(val)
+					}
+				}
+			}
+		}
+		for _, fs := range s.Facts {
+			for _, col := range fs.Coords {
+				n += v + 4*len(col)
+			}
+			for _, col := range fs.Measures {
+				n += v + 8*len(col)
+			}
+			n += 4 * len(fs.ProvRows)
+			for _, val := range fs.ProvVals {
+				n += v + len(val)
+			}
+		}
+	}
+	if s := st.IR; s != nil {
+		for i, d := range s.Docs {
+			n += 6*v + len(d.URL) + len(d.Text) + len(s.DocTokens[i])
+		}
+		n += 3 * v * len(s.Passages)
+		for _, strs := range [][]string{s.TokTags, s.TokLemmas, s.Terms} {
+			for _, t := range strs {
+				n += v + len(t)
+			}
+		}
+		for _, lists := range [][]ir.PostingList{s.Postings, s.DocPostings} {
+			for _, pl := range lists {
+				n += 2*v + len(pl.Enc)
+			}
+		}
+	}
+	return n
 }
 
 func appendCRC(buf []byte) []byte {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -400,5 +401,44 @@ func TestSeqFloorSurvivesWALReset(t *testing.T) {
 	n, err := s2.Replay(3, ReplayHandlers{Documents: func([]ir.Document) error { return nil }})
 	if err != nil || n != 1 {
 		t.Fatalf("fresh record gated away: n=%d err=%v", n, err)
+	}
+}
+
+// TestSizeHintBoundsImage pins that EncodeState's buffer is sized, not
+// grown: on a state whose image is several times the hint's fixed
+// slack, the image still fits the capacity sizeHint reserves.
+func TestSizeHintBoundsImage(t *testing.T) {
+	state := buildTestState(t)
+	wh, err := dw.New(testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []dw.MemberSpec{{Dim: "City", Level: "Country", Name: "Spain"}, {Dim: "City", Level: "City", Name: "Barcelona", Parent: "Spain"}}
+	var rows []dw.FactRow
+	var docs []ir.Document
+	for d := 0; d < 1200; d++ {
+		month, day := fmt.Sprintf("2004-%02d", d/28+1), fmt.Sprintf("2004-%02d-%02d", d/28+1, d%28+1)
+		specs = append(specs, dw.MemberSpec{Dim: "Date", Level: "Month", Name: month}, dw.MemberSpec{Dim: "Date", Level: "Day", Name: day, Parent: month})
+		url := "http://w/bcn/" + day
+		rows = append(rows, dw.FactRow{Coords: map[string]string{"City": "Barcelona", "Date": day},
+			Measures: map[string]float64{"TempC": float64(d % 30)}, Provenance: url})
+		docs = append(docs, ir.Document{URL: url, Text: fmt.Sprintf(
+			"On %s Barcelona reached %d degrees. The sea breeze kept the evening mild. Rain fell on day %d of the series.", day, d%30, d)})
+	}
+	if err := wh.AddBatch(specs, "Weather", rows); err != nil {
+		t.Fatal(err)
+	}
+	ix := ir.NewIndex()
+	if err := ix.AddBatch(docs); err != nil {
+		t.Fatal(err)
+	}
+	state.DW, state.IR = wh.Export(), ix.Export()
+
+	data, hint := EncodeState(state), sizeHint(state)
+	if len(data) < 4*(1<<16) {
+		t.Fatalf("test image is only %d bytes; it must dwarf the hint's fixed slack", len(data))
+	}
+	if len(data) > hint {
+		t.Fatalf("encoded image is %d bytes, over the %d-byte hint: EncodeState re-grows its buffer", len(data), hint)
 	}
 }
