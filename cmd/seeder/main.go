@@ -11,13 +11,9 @@
 //	seeder -data ./data -jsonl corpus.jsonl          # ingest a JSONL corpus
 //	seeder -data ./data -passages 1000000 -batch 128 # bigger commit batches
 //
-// Long runs retain a large, growing live heap (the index), so the
-// default GOGC=100 re-marks the whole live set every heap doubling and
-// ingest throughput decays with corpus size (roughly 620 pages/s early
-// falling to ~200 pages/s near 1M passages on one core). -gcpercent
-// raises the GC target (e.g. -gcpercent 300) to trade peak RSS for a
-// flatter rate curve; the per-batch progress line reports live heap and
-// RSS so the trade is visible while it runs.
+// The per-batch progress line reports live heap and RSS; the runtime's
+// GOGC environment variable sets the GC target if RSS headroom is to be
+// traded for fewer collections.
 package main
 
 import (
@@ -41,7 +37,6 @@ func main() {
 		seedVal  = flag.Int64("seed", 42, "generated-corpus seed")
 		jsonl    = flag.String("jsonl", "", "ingest this JSONL corpus instead of the generated grid")
 		progress = flag.Int("progress-every", 16, "batches between progress lines")
-		gcpct    = flag.Int("gcpercent", 0, "GC target percentage for the run (0 = runtime default); raising it trades RSS for steadier throughput on large corpora")
 		quiet    = flag.Bool("quiet", false, "suppress progress output")
 	)
 	flag.Parse()
@@ -60,7 +55,6 @@ func main() {
 		Seed:          *seedVal,
 		JSONL:         *jsonl,
 		ProgressEvery: *progress,
-		GCPercent:     *gcpct,
 	}
 	if !*quiet {
 		cfg.Logf = log.Printf

@@ -10,6 +10,7 @@ import (
 
 	"dwqa/internal/core"
 	"dwqa/internal/engine"
+	"dwqa/internal/ir"
 	"dwqa/internal/nlp"
 	"dwqa/internal/seed"
 	"dwqa/internal/store"
@@ -126,5 +127,37 @@ func TestRestoredFactoidResidencyPlateaus(t *testing.T) {
 	if after > warm+slack {
 		t.Fatalf("live heap grew from %.1f MB to %.1f MB over 1500 more cold factoids (slack %d MB)",
 			float64(warm)/(1<<20), float64(after)/(1<<20), slack>>20)
+	}
+}
+
+// TestBuiltIndexHoldsWhatRestoredHolds pins that indexing keeps documents
+// in the form a restore does: the live heap of a corpus built by AddBatch
+// is within 1 MB of the same corpus imported from its own Export, so
+// ingest retains no analysed tokens beyond the wire blocks a snapshot
+// carries.
+func TestBuiltIndexHoldsWhatRestoredHolds(t *testing.T) {
+	const slack = 1 << 20
+	base := liveHeap()
+	sc, err := core.BuildScaledCorpus(20_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := liveHeap() - base
+	// The snapshot shares the built index's token blocks, so the built
+	// index and the snapshot are dropped before the restored index is
+	// measured: what is live then is what the restore holds.
+	snap := sc.Index.Export()
+	sc = nil
+	restored := ir.NewIndex()
+	if err := restored.Import(snap); err != nil {
+		t.Fatal(err)
+	}
+	snap = nil
+	imported := liveHeap() - base
+	runtime.KeepAlive(restored)
+	t.Logf("live heap of the index: %.1f MB built, %.1f MB restored", float64(built)/(1<<20), float64(imported)/(1<<20))
+	if built > imported+slack || imported > built+slack {
+		t.Fatalf("built index holds %.1f MB, restored %.1f MB: more than %d MB apart",
+			float64(built)/(1<<20), float64(imported)/(1<<20), slack>>20)
 	}
 }

@@ -88,16 +88,14 @@ type passageEntry struct {
 	sentEnd   int
 }
 
-// docSlot holds one document's analysed sentences in one of two forms.
-// A live AddBatch keeps the sentences it analysed (sents): that memory is
-// set by what was ingested. A snapshot restore keeps only the wire token
-// block and its counts, and every read decodes the passage window it
-// needs (decodeTokenWindow) without keeping it, so serving traffic never
-// grows the index. A slot is immutable after construction, which makes
-// concurrent readers under the index read lock safe.
+// docSlot holds one document's analysed sentences in their one form: the
+// wire token block against the index's intern tables, encoded once by
+// Add or adopted by Import, and handed out verbatim by Export. Every read
+// decodes the window it needs (decodeTokenWindow) without keeping it. A
+// slot is immutable after construction, which makes concurrent readers
+// under the index read lock safe.
 type docSlot struct {
-	sents  []nlp.Sentence // eagerly-added documents; nil when restored
-	block  []byte         // wire token block; nil for eagerly-added documents
+	block  []byte
 	nSents int32
 	nToks  int32
 }
@@ -117,11 +115,14 @@ type Index struct {
 	// that already survived a crash.
 	byURL map[string]int
 
-	// tokTags / tokLemmas are the snapshot's tag and lemma intern tables,
-	// kept so restored doc slots decode against them and Export reuses stored
-	// blocks verbatim. Empty for an index built purely by AddBatch.
+	// tokTags / tokLemmas are the token blocks' tag and lemma intern
+	// tables, extended in first-occurrence order as documents are
+	// installed (append-only, so every stored block stays valid);
+	// tagIdx / lemmaIdx map an entry back to its position.
 	tokTags   []string
 	tokLemmas []string
+	tagIdx    map[string]int
+	lemmaIdx  map[string]int
 
 	// terms is the interned term dictionary: lemma → dense term id.
 	// Ids are append-only — assigned in first-occurrence order and never
@@ -129,6 +130,13 @@ type Index struct {
 	terms       map[string]int32
 	postings    []postingList // term id → passages containing it, ascending
 	docPostings []postingList // term id → documents containing it, ascending
+
+	// Install scratch, reused under the write lock: the token block
+	// encode buffer, and term frequencies by term id (zero between uses)
+	// with the ids touched, in first-touch order.
+	encBuf  []byte
+	tf      []int32
+	touched []int32
 
 	// journal, when set, receives every indexed document while the write
 	// lock is still held (see SetJournal in snapshot.go).
@@ -163,6 +171,8 @@ func NewIndex(opts ...Option) *Index {
 		passageSize: DefaultPassageSize,
 		terms:       make(map[string]int32),
 		byURL:       make(map[string]int),
+		tagIdx:      make(map[string]int),
+		lemmaIdx:    make(map[string]int),
 	}
 	for _, o := range opts {
 		o(ix)
@@ -193,15 +203,10 @@ func (ix *Index) intern(lemma string) int32 {
 	return id
 }
 
-// sentencesLocked returns sentences [from, to) of document d: a
-// subslice of an eagerly-added document's analysis, or a fresh decode of
-// that window of a restored document's token block. Caller holds at
-// least the read lock.
+// sentencesLocked decodes sentences [from, to) of document d from its
+// token block. Caller holds at least the read lock.
 func (ix *Index) sentencesLocked(d, from, to int) []nlp.Sentence {
 	s := &ix.docSents[d]
-	if s.block == nil {
-		return s.sents[from:to]
-	}
 	return decodeTokenWindow(s.block, ix.docs[d].Text, from, to, int(s.nSents), int(s.nToks), ix.tokTags, ix.tokLemmas)
 }
 
@@ -316,11 +321,15 @@ func (ix *Index) AddBatch(docs []Document) error {
 	return ix.Add(b)
 }
 
-// addLocked installs one analysed document. Caller holds the write lock.
+// addLocked installs one analysed document: its token block, encoded
+// once here against the index-wide intern tables, and its postings.
+// Caller holds the write lock.
 func (ix *Index) addLocked(doc Document, sents []nlp.Sentence, lemmas [][]string) {
 	docIdx := len(ix.docs)
 	ix.docs = append(ix.docs, doc)
-	ix.docSents = append(ix.docSents, docSlot{sents: sents})
+	var nToks int
+	ix.encBuf, nToks = encodeTokenBlock(ix.encBuf[:0], sents, ix.tagIdx, &ix.tokTags, ix.lemmaIdx, &ix.tokLemmas)
+	ix.docSents = append(ix.docSents, docSlot{block: append([]byte(nil), ix.encBuf...), nSents: int32(len(sents)), nToks: int32(nToks)})
 	if _, ok := ix.byURL[doc.URL]; !ok {
 		ix.byURL[doc.URL] = docIdx
 	}
@@ -336,19 +345,12 @@ func (ix *Index) addLocked(doc Document, sents []nlp.Sentence, lemmas [][]string
 		}
 		sentTerms[i] = ids
 	}
+	ix.tf = append(ix.tf, make([]int32, len(ix.postings)-len(ix.tf))...)
 
-	// Document-level stats for the IR baseline.
-	dtf := map[int32]int32{}
-	for _, ids := range sentTerms {
-		for _, id := range ids {
-			dtf[id]++
-		}
-	}
-	for id, tf := range dtf {
-		// Documents are indexed one at a time, so each per-term list
-		// receives ascending document indexes regardless of map order.
-		ix.docPostings[id].add(int32(docIdx), tf)
-	}
+	// Document-level stats for the IR baseline. Documents are indexed one
+	// at a time, so each per-term list receives ascending document
+	// indexes whatever order the terms are emitted in.
+	ix.flushTF(ix.docPostings, sentTerms, int32(docIdx))
 
 	// Passage windows.
 	for start := 0; start < len(sents); start += ix.stride {
@@ -360,19 +362,31 @@ func (ix *Index) addLocked(doc Document, sents []nlp.Sentence, lemmas [][]string
 		ix.passages = append(ix.passages, passageEntry{
 			doc: docIdx, sentStart: start, sentEnd: end,
 		})
-		ptf := map[int32]int32{}
-		for _, ids := range sentTerms[start:end] {
-			for _, id := range ids {
-				ptf[id]++
-			}
-		}
-		for id, tf := range ptf {
-			ix.postings[id].add(int32(pid), tf)
-		}
+		ix.flushTF(ix.postings, sentTerms[start:end], int32(pid))
 		if end == len(sents) {
 			break
 		}
 	}
+}
+
+// flushTF counts the term frequencies of sentTerms in the dense scratch
+// and appends one posting (id, tf) per distinct term to lists, in
+// first-touch order, leaving the scratch zeroed. Caller holds the write
+// lock and has sized ix.tf to the dictionary.
+func (ix *Index) flushTF(lists []postingList, sentTerms [][]int32, id int32) {
+	for _, ids := range sentTerms {
+		for _, t := range ids {
+			if ix.tf[t] == 0 {
+				ix.touched = append(ix.touched, t)
+			}
+			ix.tf[t]++
+		}
+	}
+	for _, t := range ix.touched {
+		lists[t].add(id, ix.tf[t])
+		ix.tf[t] = 0
+	}
+	ix.touched = ix.touched[:0]
 }
 
 // HasURL reports whether a document with this URL is already indexed —

@@ -47,11 +47,9 @@ type Snapshot struct {
 }
 
 // Export copies the full index state under the read lock. Posting lists
-// are canonicalised into their wire form; documents restored from a
-// snapshot re-export their stored token blocks verbatim, and
-// eagerly-added documents are encoded fresh, extending the intern tables
-// in first-occurrence order — the same order an uninterrupted run would
-// have produced.
+// are canonicalised into their wire form; token blocks, stored in wire
+// form since install or import, are handed out verbatim (they are
+// immutable) with a copy of the intern tables they index.
 func (ix *Index) Export() *Snapshot {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -69,28 +67,10 @@ func (ix *Index) Export() *Snapshot {
 		Postings:    make([]PostingList, len(ix.postings)),
 		DocPostings: make([]PostingList, len(ix.docPostings)),
 	}
-	tagIdx := make(map[string]int, len(snap.TokTags))
-	for i, t := range snap.TokTags {
-		tagIdx[t] = i
-	}
-	lemmaIdx := make(map[string]int, len(snap.TokLemmas))
-	for i, l := range snap.TokLemmas {
-		lemmaIdx[l] = i
-	}
 	for i, slot := range ix.docSents {
-		if slot.block != nil {
-			// Stored wire form: reuse verbatim. Its intern indexes point
-			// into the stored tables, which are a prefix of the exported
-			// ones (tables only ever extend).
-			snap.DocTokens[i] = slot.block
-			snap.DocSents[i] = slot.nSents
-			snap.DocToks[i] = slot.nToks
-			continue
-		}
-		block, tokens := encodeTokenBlock(nil, slot.sents, tagIdx, &snap.TokTags, lemmaIdx, &snap.TokLemmas)
-		snap.DocTokens[i] = block
-		snap.DocSents[i] = int32(len(slot.sents))
-		snap.DocToks[i] = int32(tokens)
+		snap.DocTokens[i] = slot.block
+		snap.DocSents[i] = slot.nSents
+		snap.DocToks[i] = slot.nToks
 	}
 	for i, pe := range ix.passages {
 		snap.Passages[i] = PassageRef{Doc: int32(pe.doc), SentStart: int32(pe.sentStart), SentEnd: int32(pe.sentEnd)}
@@ -184,8 +164,12 @@ func (ix *Index) Import(snap *Snapshot) error {
 			ix.byURL[d.URL] = i
 		}
 	}
-	ix.tokTags = snap.TokTags
-	ix.tokLemmas = snap.TokLemmas
+	// The intern tables are clamped so that documents added after the
+	// restore extend a copy instead of writing into the caller's snapshot.
+	ix.tokTags = snap.TokTags[:len(snap.TokTags):len(snap.TokTags)]
+	ix.tokLemmas = snap.TokLemmas[:len(snap.TokLemmas):len(snap.TokLemmas)]
+	ix.tagIdx = internIndex(ix.tokTags)
+	ix.lemmaIdx = internIndex(ix.tokLemmas)
 	ix.docSents = make([]docSlot, len(snap.Docs))
 	for i := range ix.docSents {
 		ix.docSents[i] = docSlot{block: snap.DocTokens[i], nSents: snap.DocSents[i], nToks: snap.DocToks[i]}
@@ -209,6 +193,17 @@ func (ix *Index) Import(snap *Snapshot) error {
 		ix.docPostings[i] = postingList{enc: w.Enc[:len(w.Enc):len(w.Enc)], encN: w.N, lastID: docLast[i]}
 	}
 	return nil
+}
+
+// internIndex maps each entry of an intern table to its first position.
+func internIndex(table []string) map[string]int {
+	m := make(map[string]int, len(table))
+	for i, v := range table {
+		if _, ok := m[v]; !ok {
+			m[v] = i
+		}
+	}
+	return m
 }
 
 // validateBlocks structurally checks every document's token block in

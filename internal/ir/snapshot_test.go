@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -28,6 +29,13 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 	}
 
 	snap := src.Export()
+	// Spare capacity behind the intern tables, where growth after the
+	// restore must not write.
+	snap.TokTags = slices.Grow(snap.TokTags, 8)
+	snap.TokLemmas = slices.Grow(snap.TokLemmas, 64)
+	nTags, nLemmas := len(snap.TokTags), len(snap.TokLemmas)
+	tags, lemmas := snap.TokTags[:cap(snap.TokTags)], snap.TokLemmas[:cap(snap.TokLemmas)]
+	tagsBefore, lemmasBefore := slices.Clone(tags), slices.Clone(lemmas)
 	dst := NewIndex() // default geometry: Import must override it from the snapshot
 	if err := dst.Import(snap); err != nil {
 		t.Fatal(err)
@@ -62,9 +70,10 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The append-only term-id invariant survives restore: adding the same
-	// new document to both indexes interns identical ids and both keep
-	// answering identically.
+	// The append-only invariants survive restore: adding the same new
+	// document, with lemmas neither index has seen, to both indexes
+	// interns identical term ids and intern-table entries, so both export
+	// the same snapshot and keep answering identically.
 	extra := Document{URL: "http://w/sev", Text: "Seville bakes in summer. July temperatures pass 40 degrees. The river cools the evenings."}
 	if err := src.AddBatch([]Document{extra}); err != nil {
 		t.Fatal(err)
@@ -74,6 +83,21 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 	}
 	if dst.TermCount() != src.TermCount() {
 		t.Fatalf("term dictionaries diverge after post-import Add: %d vs %d", dst.TermCount(), src.TermCount())
+	}
+	grown := src.Export()
+	if len(grown.TokLemmas) <= len(snap.TokLemmas) {
+		t.Fatalf("post-import document added no lemmas (%d before, %d after)", len(snap.TokLemmas), len(grown.TokLemmas))
+	}
+	if !reflect.DeepEqual(dst.Export(), grown) {
+		t.Fatal("export after post-import Add diverges from the uninterrupted index's")
+	}
+	// The imported snapshot's tables are as they were, in length and in
+	// content up to their capacity: growth extended a copy.
+	if len(snap.TokTags) != nTags || len(snap.TokLemmas) != nLemmas {
+		t.Fatalf("imported intern tables changed length: %d/%d, were %d/%d", len(snap.TokTags), len(snap.TokLemmas), nTags, nLemmas)
+	}
+	if !slices.Equal(tags, tagsBefore) || !slices.Equal(lemmas, lemmasBefore) {
+		t.Fatal("growth after the restore wrote into the imported snapshot's intern tables")
 	}
 	terms := QueryTerms("Seville temperature in July")
 	if got, want := dst.Search(terms, 5), src.Search(terms, 5); !reflect.DeepEqual(got, want) {

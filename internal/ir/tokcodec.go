@@ -16,13 +16,14 @@ import (
 // Token text is not stored — a token's surface form is exactly
 // doc.Text[start:end), so decode slices it back out of the document.
 //
-// The codec lives in ir (not internal/store) because a restored index
-// reads its sentences from the wire: Import keeps the blocks and every
-// passage read decodes just its window (decodeTokenWindow), so a
-// restored index pays token materialisation only for the passages a
-// query returns, and retains none of it. The store writes and ships
-// the same blocks verbatim. The byte format is unchanged from snapshot
-// schema v2, which decoded everything eagerly.
+// The codec lives in ir (not internal/store) because the index keeps
+// its sentences in wire form: Add encodes each document's block once at
+// install, Import adopts the snapshot's blocks, and every passage read
+// decodes just its window (decodeTokenWindow), so the index pays token
+// materialisation only for the passages a query returns, and retains
+// none of it. Export and the store write and ship the same blocks
+// verbatim. The byte format is unchanged from snapshot schema v2, which
+// decoded everything eagerly.
 
 var (
 	errNegativeCount = errors.New("negative posting count")
@@ -163,10 +164,11 @@ func validateTokenBlock(data []byte, textLen, nSents, nTokens, nTags, nLemmas in
 // deltas (positions are delta-coded across sentence boundaries), the
 // window's tokens land in one arena with sentences as capacity-clamped
 // subslices, token text sliced straight out of the document, and the
-// bytes after the window are never read. Restored documents keep only
-// their wire block, so every passage read decodes its window afresh and
-// nothing decoded outlives the caller. The block must have passed
-// validateTokenBlock (Import does that), so decode has no error path.
+// bytes after the window are never read. Documents keep only their wire
+// block, so every passage read decodes its window afresh and nothing
+// decoded outlives the caller. The block must be well formed — encoded
+// by Add, or checked by validateTokenBlock at Import — so decode has no
+// error path.
 func decodeTokenWindow(data []byte, text string, from, to, nSents, nTokens int, tags, lemmas []string) []nlp.Sentence {
 	pos, prev := 0, 0
 	for s := 0; s < from; s++ {

@@ -45,7 +45,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,14 +110,6 @@ type Config struct {
 	// ProgressEvery is the number of batches between progress lines
 	// (zero = 16).
 	ProgressEvery int
-	// GCPercent, when > 0, sets the runtime's GC target percentage for
-	// the run (debug.SetGCPercent). Long seeding runs retain a large,
-	// growing live heap (the index itself), so the default GOGC=100
-	// re-marks the whole live set every time the heap doubles —
-	// throughput decays as the corpus grows (~620 pages/s early to
-	// ~200 pages/s near 1M passages on one core). Raising this trades
-	// peak RSS for fewer, later GC cycles and a flatter rate curve.
-	GCPercent int
 	// FS overrides the filesystem (fault-injection tests). Nil = OS.
 	FS store.FS
 	// Core configures the pipeline the data directory boots with; the
@@ -204,11 +195,6 @@ func Run(cfg Config) (*Summary, error) {
 	}
 	if cfg.JSONL == "" && cfg.Passages <= 0 && cfg.MaxPages <= 0 {
 		return nil, fmt.Errorf("seed: generated mode needs a passage target or a page cap")
-	}
-	if cfg.GCPercent > 0 {
-		prev := debug.SetGCPercent(cfg.GCPercent)
-		defer debug.SetGCPercent(prev)
-		logf("gc target %d%% (was %d%%)", cfg.GCPercent, prev)
 	}
 
 	// The run's instruments. The heap/RSS gauges share one memoised
