@@ -282,8 +282,8 @@ func runServe(args []string) {
 
 	// The feed runs on recovered boots too: a crash mid-harvest leaves a
 	// partial warehouse, and re-feeding converges on the complete one —
-	// the restored dedup state skips every record that survived, so a
-	// fully-fed recovery costs one no-op pass.
+	// the loader skips every record whose source page a recovered row
+	// already carries, so a fully-fed recovery costs one no-op pass.
 	if !ss.follow && !ss.noFeed {
 		if durable {
 			fmt.Println("dwqa serve: running the Step 5 feed (journaled; recovered records are skipped)...")

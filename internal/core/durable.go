@@ -28,9 +28,10 @@ import (
 //     re-tokenised, re-interned or re-windowed.
 //   - WAL replay is idempotent by construction: records covered by the
 //     snapshot (seq ≤ its WALSeq) are skipped, replay truncates at the
-//     first corrupt record, and the Step 5 loader's dedup state is
-//     rebuilt from warehouse provenance, so re-running the same harvest
-//     after recovery skips everything that survived.
+//     first corrupt record, and the Step 5 loader dedups by probing the
+//     warehouse's own provenance column, so re-running the same harvest
+//     after recovery skips everything that survived — nothing is
+//     rebuilt at open.
 //   - The cheap deterministic steps (the WordNet merge of Step 3, the
 //     Step 4 tuning) re-run at boot from the restored ontology; the
 //     expensive state (corpus indexing, harvested facts) never rebuilds.
@@ -54,12 +55,12 @@ func OpenPipelineFS(cfg Config, dataDir string, fsys store.FS) (*Pipeline, *stor
 
 // OpenShardedPipeline boots a writer over N shards from dataDir. With a
 // usable snapshot in every shard's store the pipeline is recovered —
-// warehouse, index and ontology restored, WAL tails replayed, loader
-// dedup rebuilt. Otherwise the scenario pipeline is built fresh,
-// integrated through Step 4 and published as the initial snapshots.
-// Either way the journals are attached before return, so every later
-// feed (Step5FeedWarehouse, /harvest) lands in the WAL, and the engine
-// is wired for SnapshotTo/background snapshots.
+// warehouse, index and ontology restored, WAL tails replayed. Otherwise
+// the scenario pipeline is built fresh, integrated through Step 4 and
+// published as the initial snapshots. Either way the journals are
+// attached before return, so every later feed (Step5FeedWarehouse,
+// /harvest) lands in the WAL, and the engine is wired for
+// SnapshotTo/background snapshots.
 //
 // The caller owns the store lifecycle: close Durable() when done,
 // ideally after a final Engine().SnapshotTo().
@@ -136,12 +137,9 @@ func OpenShardedPipelineFS(cfg Config, dataDir string, shards int, fsys store.FS
 		info.WALReplayed += replayed
 	}
 
-	// The Step 5 loader must skip every record already in the warehouse
-	// when a harvest re-runs after recovery.
+	// The Step 5 loader skips every record already in the warehouse when
+	// a harvest re-runs after recovery: it probes the restored rows.
 	loader, err := etl.NewLoader(p.Ontology, p.Cluster, "Weather", "City", "Date")
-	if err == nil {
-		_, err = loader.RestoreDedup()
-	}
 	var durable *shard.Durable
 	if err == nil {
 		durable, err = shard.NewDurable(p.Cluster, dataDir, stores, p.Ontology, fp)

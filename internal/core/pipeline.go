@@ -444,9 +444,9 @@ func (p *Pipeline) Step5FeedWarehouse(questions []string) ([]StepResult, error) 
 
 // Engine returns the concurrent QA serving layer over the tuned system
 // (requires Step 4), creating it on first call. The engine persists
-// across Step 5 runs — its loader keeps the dedup state that makes
-// repeated feeds idempotent, and its answer cache is invalidated by every
-// feed. On a follower the engine has no loader — feeds are refused with
+// across Step 5 runs — its loader dedups each feed against the
+// warehouse's provenance, which makes repeated feeds idempotent — and its
+// answer cache is invalidated by every feed. On a follower the engine has no loader — feeds are refused with
 // a clear error — and its per-shard stats report replication lag
 // instead of the writer's sequences.
 func (p *Pipeline) Engine() (*engine.Engine, error) {

@@ -69,7 +69,13 @@ func TestPopulatedWarehouseDigest(t *testing.T) {
 // index (document ordinals included) and ontology — of the integrated
 // and fed DefaultConfig pipeline, so a drift in any section of the
 // single-node layout shows up, not only in the warehouse.
-const goldenFedImage = "ad0d8ab31a52d279ece262487c1a25bb18e211e147a103a596ab852a23e3cfb9"
+// goldenFedImageBytes is that image's length: 233,926 bytes in the v3
+// format, which stored every fed row's source page as its own string;
+// v4's dictionary-coded provenance column stores each page once.
+const (
+	goldenFedImage      = "e3809b52e00e571c0a44f14455e8ed4713a16552a5afcdc4788e0411fcd1f4cf"
+	goldenFedImageBytes = 195_689
+)
 
 func TestFedSnapshotImageDigest(t *testing.T) {
 	p := runAll(t)
@@ -77,7 +83,11 @@ func TestFedSnapshotImageDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(store.EncodeState(st))
+	img := store.EncodeState(st)
+	if len(img) != goldenFedImageBytes {
+		t.Errorf("fed snapshot image is %d bytes, want %d", len(img), goldenFedImageBytes)
+	}
+	sum := sha256.Sum256(img)
 	if got := hex.EncodeToString(sum[:]); got != goldenFedImage {
 		t.Errorf("fed snapshot image digest = %s, want %s", got, goldenFedImage)
 	}

@@ -232,48 +232,91 @@ func TestCrashRecoveryProperty(t *testing.T) {
 
 // TestRefeedIdempotent is the WAL-replay-safety satellite at the system
 // level: re-applying the same harvest (duplicate member names, identical
-// fact rows) against a live or recovered warehouse changes nothing.
+// fact rows) against a live or recovered warehouse changes nothing, on
+// one shard and on two. Dedup asks the warehouse's own provenance, so it
+// must hold whether the fed rows come back from a snapshot or — after a
+// kill, with no snapshot taken — only through WAL replay; and a feed of
+// sources the warehouse does not hold must still load.
 func TestRefeedIdempotent(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, ending := range []string{"snapshot", "kill"} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, ending), func(t *testing.T) {
+				testRefeedIdempotent(t, shards, ending == "snapshot")
+			})
+		}
+	}
+}
+
+func testRefeedIdempotent(t *testing.T, shards int, snapshot bool) {
 	cfg := recoveryConfig()
 	dir := t.TempDir()
-	p, _, err := OpenPipeline(cfg, dir)
+	// feed runs Step 5 and returns the rows it loaded.
+	feed := func(p *Pipeline, questions []string) int {
+		t.Helper()
+		if _, err := p.Step5FeedWarehouse(questions); err != nil {
+			t.Fatal(err)
+		}
+		return p.LoadReport.Loaded
+	}
+	p, _, err := OpenShardedPipeline(cfg, dir, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	questions := p.WeatherQuestions()
-	if _, err := p.Step5FeedWarehouse(questions); err != nil {
-		t.Fatal(err)
+	first, later := questions[:len(questions)/2], questions[len(questions)/2:]
+	if n := feed(p, first); n == 0 {
+		t.Fatal("the first feed loaded nothing")
 	}
-	members1, rows1 := p.Warehouse.Counts()
-	want := answerFingerprint(t, p)
+	members1, rows1 := p.Cluster.Counts()
+	want := shardedFingerprint(t, p)
 
 	// Same batch, same loader: everything must dedup.
-	if _, err := p.Step5FeedWarehouse(questions); err != nil {
-		t.Fatal(err)
+	if n := feed(p, first); n != 0 {
+		t.Fatalf("live re-feed loaded %d rows, want 0", n)
 	}
-	if m, r := p.Warehouse.Counts(); m != members1 || r != rows1 {
+	if m, r := p.Cluster.Counts(); m != members1 || r != rows1 {
 		t.Fatalf("re-feed changed the warehouse: %d/%d → %d/%d", members1, rows1, m, r)
 	}
-	if got := answerFingerprint(t, p); got != want {
+	if got := shardedFingerprint(t, p); got != want {
 		t.Fatal("re-feed changed answers")
 	}
-	closePipeline(t, p)
+	if snapshot {
+		eng, err := p.Engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.SnapshotTo(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Closing the stores without a final snapshot is what a kill leaves:
+	// the feed survives in the WAL alone.
+	if err := p.Durable().Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Same batch after a restart: the dedup state is rebuilt from the
-	// warehouse itself, so recovery + re-feed must also change nothing.
-	p2, _, err := OpenPipeline(cfg, dir)
+	p2, info, err := OpenShardedPipeline(cfg, dir, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closePipeline(t, p2)
-	if _, err := p2.Step5FeedWarehouse(questions); err != nil {
-		t.Fatal(err)
+	defer p2.Durable().Close()
+	if snapshot != (info.WALReplayed == 0) {
+		t.Fatalf("reboot replayed %d WAL records after a snapshot=%v ending", info.WALReplayed, snapshot)
 	}
-	if m, r := p2.Warehouse.Counts(); m != members1 || r != rows1 {
+	if m, r := p2.Cluster.Counts(); m != members1 || r != rows1 {
+		t.Fatalf("reboot recovered %d/%d members/rows, want %d/%d", m, r, members1, rows1)
+	}
+	if n := feed(p2, first); n != 0 {
+		t.Fatalf("post-recovery re-feed loaded %d rows, want 0", n)
+	}
+	if m, r := p2.Cluster.Counts(); m != members1 || r != rows1 {
 		t.Fatalf("post-recovery re-feed changed the warehouse: %d/%d → %d/%d", members1, rows1, m, r)
 	}
-	if got := answerFingerprint(t, p2); got != want {
+	if got := shardedFingerprint(t, p2); got != want {
 		t.Fatal("post-recovery re-feed changed answers")
+	}
+	if n := feed(p2, later); n == 0 {
+		t.Fatal("a feed of sources the warehouse does not hold loaded nothing")
 	}
 }
 

@@ -1,6 +1,7 @@
 package dw
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -145,4 +146,19 @@ func (w *Warehouse) rollUpKeyLocked(dim string, baseKey int, level string) int {
 		return NoParent
 	}
 	return key
+}
+
+// FactProvenance returns the lineage string attached to a fact row ("" for
+// rows loaded without provenance).
+func (w *Warehouse) FactProvenance(fact string, row int) (string, error) {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	fd, ok := w.facts[fact]
+	if !ok {
+		return "", fmt.Errorf("dw: unknown fact %q", fact)
+	}
+	if row < 0 || row >= fd.rows {
+		return "", fmt.Errorf("dw: fact %q row %d out of range", fact, row)
+	}
+	return fd.rowSource(row), nil
 }

@@ -1,14 +1,11 @@
 package dw
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file is the warehouse half of the durability subsystem
 // (internal/store): bulk export and import of the columnar state, the
 // redo-journal hook that records committed write batches, and the
-// accessors recovery needs (Counts, ScanFact).
+// accessors recovery and its tests read (Counts, ScanFact).
 
 // LevelSnapshot is the exported form of one dimension level table: the
 // member rows in surrogate-key order (Member.Key == slice index), which is
@@ -28,15 +25,14 @@ type DimensionSnapshot struct {
 
 // FactSnapshot is the exported form of one fact table: the raw columns of
 // the columnar store (coords in role order, measures in measure order)
-// plus the sparse provenance sidecar flattened into parallel slices sorted
-// by row.
+// plus the dictionary-coded provenance column.
 type FactSnapshot struct {
-	Fact     string
-	Rows     int
-	Coords   [][]int32   // [role column][row], role order = schema order
-	Measures [][]float64 // [measure column][row], measure order = schema order
-	ProvRows []int32     // rows that carry provenance, ascending
-	ProvVals []string    // provenance strings, parallel to ProvRows
+	Fact        string
+	Rows        int
+	Coords      [][]int32   // [role column][row], role order = schema order
+	Measures    [][]float64 // [measure column][row], measure order = schema order
+	Sources     []string    // distinct provenance strings, first-occurrence order
+	SourceCodes []int32     // [row] index into Sources, -1 for none; empty when Sources is empty
 }
 
 // Snapshot is a point-in-time copy of the warehouse contents (not the
@@ -88,17 +84,8 @@ func (w *Warehouse) Export() *Snapshot {
 		for i, col := range fd.measures {
 			fs.Measures[i] = append([]float64(nil), col...)
 		}
-		if len(fd.provenance) > 0 {
-			rows := make([]int, 0, len(fd.provenance))
-			for r := range fd.provenance {
-				rows = append(rows, r)
-			}
-			sort.Ints(rows)
-			for _, r := range rows {
-				fs.ProvRows = append(fs.ProvRows, int32(r))
-				fs.ProvVals = append(fs.ProvVals, fd.provenance[r])
-			}
-		}
+		fs.Sources = append([]string(nil), fd.sources...)
+		fs.SourceCodes = append([]int32(nil), fd.codes...)
 		snap.Facts = append(snap.Facts, fs)
 	}
 	return snap
@@ -194,13 +181,25 @@ func (w *Warehouse) Import(snap *Snapshot) error {
 					fs.Fact, i, len(col), fs.Rows)
 			}
 		}
-		if len(fs.ProvRows) != len(fs.ProvVals) {
-			return fmt.Errorf("dw: import: fact %q has %d provenance rows but %d values",
-				fs.Fact, len(fs.ProvRows), len(fs.ProvVals))
+		wantCodes := fs.Rows
+		if len(fs.Sources) == 0 {
+			wantCodes = 0
 		}
-		for _, r := range fs.ProvRows {
-			if int(r) < 0 || int(r) >= fs.Rows {
-				return fmt.Errorf("dw: import: fact %q provenance row %d out of range", fs.Fact, r)
+		if len(fs.SourceCodes) != wantCodes {
+			return fmt.Errorf("dw: import: fact %q source code column has %d rows with %d sources, expected %d",
+				fs.Fact, len(fs.SourceCodes), len(fs.Sources), wantCodes)
+		}
+		seen := make(map[string]bool, len(fs.Sources))
+		for i, src := range fs.Sources {
+			if src == "" || seen[src] {
+				return fmt.Errorf("dw: import: fact %q source %d is empty or repeated (%q)", fs.Fact, i, src)
+			}
+			seen[src] = true
+		}
+		for r, code := range fs.SourceCodes {
+			if code < noSource || int(code) >= len(fs.Sources) {
+				return fmt.Errorf("dw: import: fact %q row %d source code %d out of range (%d sources)",
+					fs.Fact, r, code, len(fs.Sources))
 			}
 		}
 	}
@@ -234,15 +233,11 @@ func (w *Warehouse) Import(snap *Snapshot) error {
 		for i, col := range fs.Measures {
 			fd.measures[i] = append([]float64(nil), col...)
 		}
-		fd.provenance = nil
-		if len(fs.ProvRows) > 0 {
-			fd.provenance = make(map[int]string, len(fs.ProvRows))
-			for i, r := range fs.ProvRows {
-				fd.provenance[int(r)] = fs.ProvVals[i]
-			}
-		}
+		fd.sources = append([]string(nil), fs.Sources...)
+		fd.codes = append([]int32(nil), fs.SourceCodes...)
 		fd.rows = fs.Rows
 		fd.rebuildZones()
+		fd.rebuildSources()
 	}
 	w.invalidateRollups()
 	return nil
@@ -267,8 +262,7 @@ func (w *Warehouse) Counts() (members, factRows int) {
 // ScanFact calls fn for every row of a fact with the base-level member
 // names of the requested roles (in the given order) and the row's
 // provenance string. The names slice is reused across calls; copy it if
-// it must outlive fn. Recovery uses this to rebuild the Step 5 loader's
-// dedup state from the warehouse itself.
+// it must outlive fn.
 func (w *Warehouse) ScanFact(fact string, roles []string, fn func(row int, names []string, provenance string) error) error {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -297,7 +291,7 @@ func (w *Warehouse) ScanFact(fact string, roles []string, fn func(row int, names
 			}
 			names[i] = tables[i].members[key].Name
 		}
-		if err := fn(row, names, fd.provenance[row]); err != nil {
+		if err := fn(row, names, fd.rowSource(row)); err != nil {
 			return err
 		}
 	}

@@ -95,7 +95,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if parent, _ := dst.ParentName("City", "City", "Barcelona"); parent != "Spain" {
 		t.Fatalf("parent lost: %q", parent)
 	}
-	// Provenance sidecar survives, including rows without provenance.
+	// The provenance column survives, including rows without provenance:
+	// one dictionary entry for the two rows of one page.
+	if got := snap.Facts[0]; !reflect.DeepEqual(got.Sources, []string{"http://a"}) || !reflect.DeepEqual(got.SourceCodes, []int32{0, 0, -1}) {
+		t.Fatalf("provenance column = %q %v, want [http://a] [0 0 -1]", got.Sources, got.SourceCodes)
+	}
 	for row, want := range map[int]string{0: "http://a", 1: "http://a", 2: ""} {
 		got, err := dst.FactProvenance("Weather", row)
 		if err != nil {
@@ -144,8 +148,11 @@ func TestImportRejectsShapeMismatches(t *testing.T) {
 		{"missing coordinate column", func(s *Snapshot) { s.Facts[0].Coords = s.Facts[0].Coords[:1] }},
 		{"ragged coordinate column", func(s *Snapshot) { s.Facts[0].Coords[0] = s.Facts[0].Coords[0][:1] }},
 		{"ragged measure column", func(s *Snapshot) { s.Facts[0].Measures[0] = s.Facts[0].Measures[0][:1] }},
-		{"provenance out of range", func(s *Snapshot) { s.Facts[0].ProvRows[0] = 99 }},
-		{"provenance rows/vals mismatch", func(s *Snapshot) { s.Facts[0].ProvVals = s.Facts[0].ProvVals[:1] }},
+		{"provenance out of range", func(s *Snapshot) { s.Facts[0].SourceCodes[0] = 1 }},
+		{"source code below none", func(s *Snapshot) { s.Facts[0].SourceCodes[0] = -2 }},
+		{"ragged source code column", func(s *Snapshot) { s.Facts[0].SourceCodes = s.Facts[0].SourceCodes[:1] }},
+		{"repeated source", func(s *Snapshot) { s.Facts[0].Sources = append(s.Facts[0].Sources, "http://a") }},
+		{"empty source", func(s *Snapshot) { s.Facts[0].Sources = append(s.Facts[0].Sources, "") }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -288,5 +295,121 @@ func TestJournalHooks(t *testing.T) {
 	}
 	if n := w.FactCount("Weather"); n != 3 {
 		t.Fatalf("batch applied despite its journal failure: FactCount = %d, want 3", n)
+	}
+}
+
+// TestHasSources pins the dedup probe: a row is held when a fact row at
+// the same coordinates carries the same source, whatever its measures,
+// and the answers are the same from the live set appendRow keeps and
+// from the one Import rebuilds. A fact stores no code column until its
+// first row with a source arrives; the rows before it then read as
+// carrying none.
+func TestHasSources(t *testing.T) {
+	w, err := New(snapTestSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []MemberSpec{
+		{Dim: "City", Level: "Country", Name: "Spain"},
+		{Dim: "City", Level: "City", Name: "Barcelona", Parent: "Spain"},
+		{Dim: "City", Level: "City", Name: "Madrid", Parent: "Spain"},
+		{Dim: "Date", Level: "Month", Name: "2004-01"},
+	}
+	var rows []FactRow
+	for d := 1; d <= 28; d++ {
+		day := fmt.Sprintf("2004-01-%02d", d)
+		specs = append(specs, MemberSpec{Dim: "Date", Level: "Day", Name: day, Parent: "2004-01"})
+		rows = append(rows, FactRow{Coords: map[string]string{"City": "Madrid", "Date": day}, Measures: map[string]float64{"TempC": 3}})
+	}
+	if err := w.AddBatch(specs, "Weather", rows); err != nil {
+		t.Fatal(err)
+	}
+	if fs := w.Export().Facts[0]; fs.Sources != nil || fs.SourceCodes != nil {
+		t.Fatalf("a fact without provenance exports %q %v, want no column", fs.Sources, fs.SourceCodes)
+	}
+	// 2,000 sourced rows over 56 (city, day) cells and 40 pages, so the
+	// held set grows several times.
+	src := func(i int) string { return fmt.Sprintf("http://w/%d", i%40) }
+	cell := func(i int) map[string]string {
+		return map[string]string{"City": []string{"Barcelona", "Madrid"}[i%2], "Date": fmt.Sprintf("2004-01-%02d", i%28+1)}
+	}
+	rows = rows[:0]
+	for i := 0; i < 2000; i++ {
+		rows = append(rows, FactRow{Coords: cell(i), Measures: map[string]float64{"TempC": float64(i)}, Provenance: src(i)})
+	}
+	if err := w.AddBatch(nil, "Weather", rows); err != nil {
+		t.Fatal(err)
+	}
+	fs := w.Export().Facts[0]
+	if len(fs.Sources) != 40 || len(fs.SourceCodes) != 2028 || fs.SourceCodes[27] != -1 || fs.SourceCodes[28] != 0 {
+		t.Fatalf("provenance column: %d sources, %d codes (%v at the first sourced row)",
+			len(fs.Sources), len(fs.SourceCodes), fs.SourceCodes[26:30])
+	}
+
+	var probes []FactRow
+	var want []bool
+	for i := 0; i < 2000; i += 7 {
+		probes = append(probes, FactRow{Coords: cell(i), Provenance: src(i)})
+		want = append(want, true)
+		// A page this cell never cited: i and i+1 differ in city.
+		probes = append(probes, FactRow{Coords: cell(i), Provenance: src(i + 1)})
+		want = append(want, false)
+	}
+	probes = append(probes,
+		FactRow{Coords: map[string]string{"City": "Madrid", "Date": "2004-01-05"}},                         // no source: never held
+		FactRow{Coords: map[string]string{"City": "Paris", "Date": "2004-01-05"}, Provenance: src(0)},      // unknown member
+		FactRow{Coords: map[string]string{"City": "Madrid", "Date": "2004-01-05"}, Provenance: "http://x"}, // unknown page
+	)
+	want = append(want, false, false, false)
+
+	dst, err := New(snapTestSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Import(w.Export()); err != nil {
+		t.Fatal(err)
+	}
+	for name, wh := range map[string]*Warehouse{"live": w, "imported": dst} {
+		got, err := wh.HasSources("Weather", probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s warehouse: HasSources = %v, want %v", name, got, want)
+		}
+	}
+	// Two cells citing 3,000 pages each, none in common: every probe of
+	// one cell with the other's pages walks past rows at its own
+	// coordinates, which must not match on coordinates alone.
+	crowd, err := New(snapTestSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []map[string]string{{"City": "Barcelona", "Date": "2004-01-01"}, {"City": "Madrid", "Date": "2004-01-01"}}
+	rows = rows[:0]
+	for i := 0; i < 6000; i++ {
+		rows = append(rows, FactRow{Coords: cells[i/3000], Provenance: src(i) + "/" + fmt.Sprint(i)})
+	}
+	if err := crowd.AddBatch(specs[:5], "Weather", rows); err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		rows[i].Coords = cells[1-i/3000]
+	}
+	got, err := crowd.HasSources("Weather", rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, held := range got {
+		if held {
+			t.Fatalf("cell %v holds page %q, which only the other cell cites", rows[i].Coords, rows[i].Provenance)
+		}
+	}
+
+	if _, err := w.HasSources("Nope", probes); err == nil {
+		t.Error("unknown fact accepted")
+	}
+	if _, err := w.HasSources("Weather", []FactRow{{Coords: map[string]string{"City": "Madrid"}, Provenance: src(0)}}); err == nil {
+		t.Error("probe row missing a role accepted")
 	}
 }

@@ -67,8 +67,7 @@ func TestLoadDedupCanonicalCityCase(t *testing.T) {
 	if n := wh.FactCount("Weather"); n != 1 {
 		t.Fatalf("fact rows = %d, want 1", n)
 	}
-	// The canonical key also holds across calls (the Loader-lifetime
-	// dedup map).
+	// The canonical key also holds across calls (the warehouse probe).
 	rep, err = l.Load([]qa.Answer{answer(8, "C", "barcelona", 2004, 1, 31)})
 	if err != nil {
 		t.Fatal(err)
@@ -78,12 +77,12 @@ func TestLoadDedupCanonicalCityCase(t *testing.T) {
 	}
 }
 
-// TestRestoreDedupMatchesCanonicalMembers pins the restore half of the
-// fix: dedup keys rebuilt from warehouse provenance must equal the keys
-// live loads write, or a recovered boot would re-load every record. The
-// member names in the warehouse are canonical by construction, so
-// RestoreDedup must NOT case-fold them.
-func TestRestoreDedupMatchesCanonicalMembers(t *testing.T) {
+// TestProbeDedupMatchesCanonicalMembers pins the probe half of the
+// fix: the warehouse answers the dedup probe by exact member name, so
+// the loader must canonicalise before it probes, or a second loader (the
+// recovery path: nothing but the warehouse remembers the first one's
+// loads) would re-load every record whose city arrives in another case.
+func TestProbeDedupMatchesCanonicalMembers(t *testing.T) {
 	l, wh := newLoader(t)
 	if _, err := l.Load([]qa.Answer{
 		answer(8, "C", "barcelona", 2004, 1, 31),
@@ -91,23 +90,37 @@ func TestRestoreDedupMatchesCanonicalMembers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// A second loader over the same warehouse (the recovery path).
+	// The probe itself takes member names as they are: only the
+	// canonical form is held.
+	probe := func(city string) bool {
+		t.Helper()
+		held, err := wh.HasSources("Weather", []dw.FactRow{{
+			Coords:     map[string]string{"City": city, "Date": "2004-01-31"},
+			Provenance: "http://example.com/p",
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return held[0]
+	}
+	if !probe("Barcelona") || probe("barcelona") || probe("BARCELONA") {
+		t.Fatalf("probe by name: Barcelona %v, barcelona %v, BARCELONA %v; want only the canonical form held",
+			probe("Barcelona"), probe("barcelona"), probe("BARCELONA"))
+	}
+	// A second loader over the same warehouse.
 	l2, err := NewLoader(nil, wh, "Weather", "City", "Date")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l2.RestoreDedup(); err != nil {
-		t.Fatal(err)
-	}
 	rep, err := l2.Load([]qa.Answer{
-		answer(8, "C", "Barcelona", 2004, 1, 31),
+		answer(8, "C", "BARCELONA", 2004, 1, 31),
 		answer(5, "C", "New York", 2004, 1, 30),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Loaded != 0 || rep.Skipped != 2 {
-		t.Fatalf("restored loader: loaded %d, skipped %d; want 0 and 2", rep.Loaded, rep.Skipped)
+		t.Fatalf("second loader: loaded %d, skipped %d; want 0 and 2", rep.Loaded, rep.Skipped)
 	}
 }
 

@@ -24,9 +24,9 @@ import (
 // CanonicalCity returns the canonical member-name form of a city
 // mention: whitespace-normalised, with each word's first rune
 // upper-cased ("el  prat" → "El Prat") and shouted words folded down
-// ("BARCELONA" → "Barcelona"). Normalize, LoadAll, LoadRecords,
-// RestoreDedup and the NL→OLAP member grounding all key on this one
-// form, so "Barcelona", "barcelona" and "BARCELONA" are the same dedup
+// ("BARCELONA" → "Barcelona"). Normalize, LoadAll, LoadRecords, the
+// warehouse dedup probe and the NL→OLAP member grounding all key on this
+// one form, so "Barcelona", "barcelona" and "BARCELONA" are the same dedup
 // key, the same City member AND the same query filter value — the
 // pre-fix code lowercased the dedup key but created members from the
 // raw surface form, letting arrival order mint case-variant members for
@@ -150,12 +150,13 @@ func (r *Report) String() string {
 }
 
 // Loader normalises QA answers and feeds them into a warehouse fact. It
-// deduplicates across its lifetime: re-harvesting the same (city, day)
-// from the same source page does not duplicate fact rows, so repeated
-// Step 5 runs are idempotent. A Loader is safe for concurrent use; loads
-// are serialised by an internal mutex (the parallel harvest in
-// internal/engine extracts concurrently, then commits through one
-// Loader).
+// deduplicates against the warehouse itself: a record whose (city, day,
+// source page) a fact row already carries is skipped, so repeated Step 5
+// runs are idempotent — across restarts too, since the provenance that
+// decides it is part of the warehouse's durable state. A Loader is safe
+// for concurrent use; loads are serialised by an internal mutex (the
+// parallel harvest in internal/engine extracts concurrently, then
+// commits through one Loader).
 type Loader struct {
 	dom     *ontology.Ontology // axioms; may be nil (built-in fallbacks)
 	wh      Warehouse
@@ -163,21 +164,19 @@ type Loader struct {
 	cityDim string // dimension holding the City base level
 	dateDim string // dimension holding the Day base level
 
-	mu     sync.Mutex
-	loaded map[string]bool // dedup key: city|day|source
+	mu sync.Mutex
 }
 
 // Warehouse is what the loader needs from its OLAP back end: schema
-// introspection, the atomic member+rows transaction, parent walks for
-// roll-up invalidation reporting, and the fact scan that rebuilds dedup
-// state after recovery. A single *dw.Warehouse satisfies it directly; a
-// sharded cluster satisfies it by routing rows to their owning shards
-// (internal/shard).
+// introspection, the atomic member+rows transaction, the dedup probe
+// and parent walks for roll-up invalidation reporting. A single
+// *dw.Warehouse satisfies it directly; a sharded cluster satisfies it by
+// routing rows and probes to their owning shards (internal/shard).
 type Warehouse interface {
 	Schema() *mdm.Schema
 	AddBatch(specs []dw.MemberSpec, fact string, rows []dw.FactRow) error
+	HasSources(fact string, rows []dw.FactRow) ([]bool, error)
 	ParentName(dim, level, name string) (string, error)
-	ScanFact(fact string, roles []string, fn func(row int, names []string, provenance string) error) error
 }
 
 // NewLoader builds a loader for a warehouse whose schema contains the
@@ -194,44 +193,13 @@ func NewLoader(dom *ontology.Ontology, wh Warehouse, fact, cityDim, dateDim stri
 			return nil, fmt.Errorf("etl: warehouse has no dimension %q", dim)
 		}
 	}
-	return &Loader{
-		dom: dom, wh: wh, fact: fact, cityDim: cityDim, dateDim: dateDim,
-		loaded: make(map[string]bool),
-	}, nil
-}
-
-// RestoreDedup rebuilds the loader's dedup state from the warehouse
-// itself: every existing fact row's (city, day, source-page) key is
-// marked loaded, exactly as if this Loader had loaded it. Recovery calls
-// it after restoring a snapshot, so a re-run of the same harvest skips
-// every record that survived the crash instead of duplicating it — the
-// property that makes "recover, then re-feed" converge on the
-// uninterrupted run's state. It returns the number of keys restored.
-func (l *Loader) RestoreDedup() (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	restored := 0
-	err := l.wh.ScanFact(l.fact, []string{"City", "Date"}, func(row int, names []string, prov string) error {
-		// Member names are canonical by construction (every load path
-		// goes through CanonicalCity), so the scanned name IS the dedup
-		// key's city form — no case folding, or the key would diverge
-		// from the member again.
-		key := names[0] + "|" + names[1] + "|" + prov
-		if !l.loaded[key] {
-			l.loaded[key] = true
-			restored++
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, fmt.Errorf("etl: restoring dedup state: %w", err)
-	}
-	return restored, nil
+	return &Loader{dom: dom, wh: wh, fact: fact, cityDim: cityDim, dateDim: dateDim}, nil
 }
 
 // Normalize converts one QA answer into a weather record, applying the
 // ontology's conversion and range axioms. It returns a reason string when
-// the answer must be rejected.
+// the answer must be rejected, which includes an answer without a source
+// page: every fed row carries its page.
 func (l *Loader) Normalize(ans qa.Answer) (WeatherRecord, string) {
 	if !ans.HasValue {
 		return WeatherRecord{}, "no numeric value"
@@ -254,6 +222,10 @@ func (l *Loader) Normalize(ans qa.Answer) (WeatherRecord, string) {
 	}
 	if !l.inRange(tempC) {
 		return WeatherRecord{}, fmt.Sprintf("out of range: %.1fC", tempC)
+	}
+	if ans.URL == "" {
+		// The source page is what a re-run feed deduplicates on.
+		return WeatherRecord{}, "no source page"
 	}
 	return WeatherRecord{
 		City: CanonicalCity(ans.Location),
@@ -324,10 +296,10 @@ func (l *Loader) Load(answers []qa.Answer) (*Report, error) {
 // rows in ONE warehouse transaction (dw.AddBatch): either every member
 // and every row lands — journalled as a single combined WAL record — or
 // nothing does, so a failed feed can no longer strand members without
-// their rows or abandon dedup keys. Deduplication is identical to
-// looping Load over the batches: within the call and across the
-// Loader's lifetime, only the first (city, day, source) record loads;
-// later duplicates count as skipped in their batch's report. It returns
+// their rows. Deduplication is identical to looping Load over the
+// batches: within the call and against the warehouse, only the first
+// (city, day, source) record loads; later duplicates count as skipped in
+// their batch's report. It returns
 // one report per batch, the combined report, and the commit's write
 // footprint (nil Touched members/facts when nothing new landed).
 func (l *Loader) LoadAll(batches [][]qa.Answer) ([]*Report, *Report, *Touched, error) {
@@ -366,8 +338,8 @@ func (l *Loader) LoadAll(batches [][]qa.Answer) ([]*Report, *Report, *Touched, e
 // LoadRecords loads a batch of already-normalised records in one atomic
 // warehouse transaction — the streaming seeder's commit unit. City names
 // are canonicalised (CanonicalCity) so the dedup key and the member name
-// agree with every other load path; records with no city are rejected.
-// It returns the batch report and the commit's write footprint.
+// agree with every other load path; records with no city or no source
+// page are rejected. It returns the batch report and the commit's write footprint.
 func (l *Loader) LoadRecords(recs []WeatherRecord) (*Report, *Touched, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -377,6 +349,10 @@ func (l *Loader) LoadRecords(recs []WeatherRecord) (*Report, *Touched, error) {
 		rec.City = CanonicalCity(rec.City)
 		if rec.City == "" {
 			rep.Rejections = append(rep.Rejections, Rejection{Reason: "no location"})
+			continue
+		}
+		if rec.SourceURL == "" {
+			rep.Rejections = append(rep.Rejections, Rejection{Reason: "no source page"})
 			continue
 		}
 		rep.Normalized++
@@ -390,11 +366,49 @@ func (l *Loader) LoadRecords(recs []WeatherRecord) (*Report, *Touched, error) {
 }
 
 // commitLocked deduplicates the record batches, commits the needed
-// members and fact rows as one warehouse transaction, marks the dedup
-// keys loaded and fills in the per-batch Loaded/Skipped counts. Caller
-// holds l.mu. Records are assumed canonicalised (Normalize or
-// LoadRecords did it).
+// members and fact rows as one warehouse transaction and fills in the
+// per-batch Loaded/Skipped counts. Caller holds l.mu. Records are
+// assumed canonicalised (Normalize or LoadRecords did it).
 func (l *Loader) commitLocked(recBatches [][]WeatherRecord, reports []*Report) (*Touched, error) {
+	// Candidate rows: each record's first occurrence in this commit.
+	type recKey struct{ city, day, source string }
+	type candidate struct {
+		batch int
+		rec   WeatherRecord
+	}
+	var cands []candidate
+	var rows []dw.FactRow
+	inFlight := map[recKey]bool{}
+	for bi, recs := range recBatches {
+		for _, rec := range recs {
+			// The dedup key's city form IS the member name — one
+			// canonical form end to end (CanonicalCity), never a
+			// case-folded variant of it.
+			day := rec.DayKey()
+			key := recKey{rec.City, day, rec.SourceURL}
+			if inFlight[key] {
+				reports[bi].Skipped++
+				continue
+			}
+			inFlight[key] = true
+			cands = append(cands, candidate{bi, rec})
+			rows = append(rows, dw.FactRow{
+				Coords:     map[string]string{"City": rec.City, "Date": day},
+				Measures:   map[string]float64{"TempC": rec.TempC},
+				Provenance: rec.SourceURL,
+			})
+		}
+	}
+	// One probe for the whole commit: which candidates the warehouse
+	// already holds with their source.
+	var held []bool
+	if len(rows) > 0 {
+		var err error
+		if held, err = l.wh.HasSources(l.fact, rows); err != nil {
+			return nil, fmt.Errorf("etl: %w", err)
+		}
+	}
+
 	var memberSpecs []dw.MemberSpec
 	seenMember := map[string]bool{}
 	ensureMember := func(dim, level, name, parent string) {
@@ -404,51 +418,33 @@ func (l *Loader) commitLocked(recBatches [][]WeatherRecord, reports []*Report) (
 			memberSpecs = append(memberSpecs, dw.MemberSpec{Dim: dim, Level: level, Name: name, Parent: parent})
 		}
 	}
-	type pendingRow struct {
-		batch int
-		key   string
-	}
-	var rows []dw.FactRow
-	var pendings []pendingRow
-	inFlight := map[string]bool{}
-
-	for bi, recs := range recBatches {
-		rep := reports[bi]
-		for _, rec := range recs {
-			// The dedup key's city form IS the member name — one
-			// canonical form end to end (CanonicalCity), never a
-			// case-folded variant of it.
-			key := rec.City + "|" + rec.DayKey() + "|" + rec.SourceURL
-			if l.loaded[key] || inFlight[key] {
-				rep.Skipped++
-				continue
-			}
-			inFlight[key] = true
-			// Date hierarchy and city members (idempotent adds, parents
-			// first so the batch insert can resolve them).
-			ensureMember(l.dateDim, "Year", rec.YearKey(), "")
-			ensureMember(l.dateDim, "Month", rec.MonthKey(), rec.YearKey())
-			ensureMember(l.dateDim, "Day", rec.DayKey(), rec.MonthKey())
-			ensureMember(l.cityDim, "City", rec.City, "")
-			rows = append(rows, dw.FactRow{
-				Coords:     map[string]string{"City": rec.City, "Date": rec.DayKey()},
-				Measures:   map[string]float64{"TempC": rec.TempC},
-				Provenance: rec.SourceURL,
-			})
-			pendings = append(pendings, pendingRow{batch: bi, key: key})
+	fresh := rows[:0]
+	var loaded []int // batch of each fresh row
+	for i, c := range cands {
+		if held[i] {
+			reports[c.batch].Skipped++
+			continue
 		}
+		// Date hierarchy and city members (idempotent adds, parents
+		// first so the batch insert can resolve them).
+		rec := c.rec
+		ensureMember(l.dateDim, "Year", rec.YearKey(), "")
+		ensureMember(l.dateDim, "Month", rec.MonthKey(), rec.YearKey())
+		ensureMember(l.dateDim, "Day", rows[i].Coords["Date"], rec.MonthKey())
+		ensureMember(l.cityDim, "City", rec.City, "")
+		fresh = append(fresh, rows[i])
+		loaded = append(loaded, c.batch)
 	}
 
-	// One transaction: members and rows land together or not at all, and
-	// the dedup keys below are marked only after the commit is acked.
-	if err := l.wh.AddBatch(memberSpecs, l.fact, rows); err != nil {
+	// One transaction: members and rows land together or not at all. A
+	// commit whose records all dedupe journals nothing.
+	if err := l.wh.AddBatch(memberSpecs, l.fact, fresh); err != nil {
 		return nil, fmt.Errorf("etl: %w", err)
 	}
-	for _, p := range pendings {
-		l.loaded[p.key] = true
-		reports[p.batch].Loaded++
+	for _, bi := range loaded {
+		reports[bi].Loaded++
 	}
-	return l.touchedFrom(memberSpecs, len(rows)), nil
+	return l.touchedFrom(memberSpecs, len(fresh)), nil
 }
 
 // touchedFrom expands the committed member specs into the full touch

@@ -130,12 +130,28 @@ func TestNormalizeRejections(t *testing.T) {
 		{answer(8, "K", "Barcelona", 2004, 1, 31), "unknown unit"},
 		{answer(900, "C", "Barcelona", 2004, 1, 31), "out of range"},
 		{answer(2000, "F", "Barcelona", 2004, 1, 31), "out of range"},
+		{func() qa.Answer { a := answer(8, "C", "Barcelona", 2004, 1, 31); a.URL = ""; return a }(), "no source page"},
 	}
 	for _, c := range cases {
 		_, reason := l.Normalize(c.ans)
 		if !strings.Contains(reason, c.reason) {
 			t.Errorf("Normalize(%+v) reason = %q, want %q", c.ans, reason, c.reason)
 		}
+	}
+}
+
+// TestLoadRecordsRejectsSourcelessRecords pins that every fed row
+// carries its page: a record without one could never be recognised on a
+// re-run, so it is rejected instead of loaded.
+func TestLoadRecordsRejectsSourcelessRecords(t *testing.T) {
+	l, wh := newLoader(t)
+	rec := WeatherRecord{City: "Barcelona", Year: 2004, Month: 1, Day: 31, TempC: 8}
+	rep, _, err := l.LoadRecords([]WeatherRecord{rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Loaded != 0 || len(rep.Rejections) != 1 || rep.Rejections[0].Reason != "no source page" || wh.FactCount("Weather") != 0 {
+		t.Fatalf("sourceless record: loaded %d, rejections %+v, %d rows", rep.Loaded, rep.Rejections, wh.FactCount("Weather"))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dwqa/internal/core"
+	"dwqa/internal/ir"
 	"dwqa/internal/nlp"
 )
 
@@ -64,5 +65,30 @@ func TestExportEncodesNothing(t *testing.T) {
 	t.Logf("Export allocated %d B; token blocks %d B over %d documents", alloc, blocks, len(snap.DocTokens))
 	if alloc >= uint64(blocks) {
 		t.Fatalf("Export allocated %d B, at least the %d B of token blocks it should share", alloc, blocks)
+	}
+
+	// A restored index holds every posting list fully encoded, with no
+	// raw tail, so its Export shares the lists' bytes too: it allocates
+	// less than the postings it hands out.
+	restored := ir.NewIndex()
+	if err := restored.Import(snap); err != nil {
+		t.Fatal(err)
+	}
+	postings := 0
+	for _, lists := range [][]ir.PostingList{snap.Postings, snap.DocPostings} {
+		for _, pl := range lists {
+			postings += len(pl.Enc)
+		}
+	}
+	runtime.ReadMemStats(&before)
+	again := restored.Export()
+	runtime.ReadMemStats(&after)
+	alloc = after.TotalAlloc - before.TotalAlloc
+	t.Logf("restored Export allocated %d B; posting lists %d B", alloc, postings)
+	if !reflect.DeepEqual(again, snap) {
+		t.Fatal("the restored index exports another snapshot")
+	}
+	if alloc >= uint64(postings) {
+		t.Fatalf("restored Export allocated %d B, at least the %d B of posting lists it should share", alloc, postings)
 	}
 }

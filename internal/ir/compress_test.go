@@ -121,6 +121,43 @@ func TestPostingListThresholdCrossing(t *testing.T) {
 	}
 }
 
+// TestExportedPrefixSurvivesGrowth pins the shared export of a list with
+// no raw tail: the wire bytes are a view of the live prefix, so growing
+// the list afterwards (flushes append to the prefix, in place when it has
+// room) must leave them as they were, and appending to the view must not
+// write into the list.
+func TestExportedPrefixSurvivesGrowth(t *testing.T) {
+	var pl postingList
+	var want []Posting
+	add := func(n int) {
+		for i := 0; i < n; i++ {
+			id := int32(len(want)*5 + len(want)%4)
+			pl.add(id, int32(len(want)%3+1))
+			want = append(want, Posting{ID: id, TF: int32(len(want)%3 + 1)})
+		}
+	}
+	add(4 * encodeThreshold)
+	if len(pl.raw) != 0 {
+		t.Fatalf("list holds a raw tail of %d; the test needs none", len(pl.raw))
+	}
+	w := pl.export()
+	if cap(w.Enc) != len(w.Enc) {
+		t.Fatalf("exported prefix has capacity %d beyond its %d bytes", cap(w.Enc), len(w.Enc))
+	}
+	frozen := bytes.Clone(w.Enc)
+	add(3*encodeThreshold + 5)
+	if !bytes.Equal(w.Enc, frozen) {
+		t.Fatal("growing the list changed bytes it had exported")
+	}
+	if got := pl.export(); !bytes.Equal(got.Enc, CompressPostings(want).Enc) {
+		t.Fatal("the grown list no longer exports its canonical form")
+	}
+	_ = append(w.Enc, 0xff)
+	if got := pl.export(); !bytes.Equal(got.Enc, CompressPostings(want).Enc) {
+		t.Fatal("appending to an exported view wrote into the list")
+	}
+}
+
 // TestSnapshotMixedRawCompressedLists snapshots an index whose lists span
 // both storage regimes — rare terms still raw, a frequent term with an
 // encoded prefix — and checks the restored index re-exports byte-identical

@@ -99,10 +99,16 @@ type PostingList struct {
 // export canonicalises the list into wire form: the encoded prefix
 // verbatim plus the tail encoded behind it. Because encoding is
 // positional, the result equals CompressPostings over the full sequence.
+// With no tail the prefix itself is the wire form, handed out as a
+// capacity-clamped view: the list only ever appends past it, so the
+// exported bytes never change, and an append to the view reallocates.
 func (pl *postingList) export() PostingList {
 	n := pl.count()
 	if n == 0 {
 		return PostingList{}
+	}
+	if len(pl.raw) == 0 {
+		return PostingList{N: int32(n), Enc: pl.enc[:len(pl.enc):len(pl.enc)]}
 	}
 	enc := make([]byte, len(pl.enc), len(pl.enc)+3*len(pl.raw))
 	copy(enc, pl.enc)

@@ -379,20 +379,37 @@ func (c *Cluster) Counts() (members, factRows int) {
 	return members, factRows
 }
 
-// ScanFact walks every shard's rows in shard order with a cluster-wide
-// running row number — the ETL dedup-restore path. Row numbers are
-// scan-positional, not stable identifiers, matching ScanFact's contract.
-func (c *Cluster) ScanFact(fact string, roles []string, fn func(row int, names []string, provenance string) error) error {
-	next := 0
-	for i := 0; i < c.n; i++ {
-		err := c.Node(i).WH.ScanFact(fact, roles, func(_ int, names []string, provenance string) error {
-			err := fn(next, names, provenance)
-			next++
-			return err
-		})
+// HasSources is the loader's dedup probe over the cluster: each row is
+// asked of the shard its routing key places it on, exactly as AddBatch
+// routes it, and the answers come back in row order. A row that cannot
+// route names a member no shard holds, so it is absent.
+func (c *Cluster) HasSources(fact string, rows []dw.FactRow) ([]bool, error) {
+	if c.n == 1 {
+		return c.Node(0).WH.HasSources(fact, rows)
+	}
+	groups := make([][]dw.FactRow, c.n)
+	at := make([][]int, c.n)
+	for r, row := range rows {
+		key, err := c.RouteKey(fact, row.Coords, nil)
 		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+			continue
+		}
+		s := c.hashShard(key)
+		groups[s] = append(groups[s], row)
+		at[s] = append(at[s], r)
+	}
+	out := make([]bool, len(rows))
+	for i, group := range groups {
+		if len(group) == 0 {
+			continue
+		}
+		held, err := c.Node(i).WH.HasSources(fact, group)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		for j, r := range at[i] {
+			out[r] = held[j]
 		}
 	}
-	return nil
+	return out, nil
 }

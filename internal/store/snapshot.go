@@ -35,13 +35,15 @@ import (
 const (
 	snapshotMagic = "DWQASNAP"
 	// SchemaVersion is the snapshot format version this build writes and
-	// the only one it reads. v3 stores posting lists in their compressed
+	// the only one it reads. v4 stores fact provenance as a dictionary of
+	// distinct sources plus one int32 code per row, replacing v3's
+	// per-row strings; v3 stores posting lists in their compressed
 	// delta/varint wire form (installed at restore without re-encoding)
 	// and adds the fixed-offset section table; v2 added the per-document
 	// global ordinal (ir.Document.Ord) that sharded deployments
 	// merge-sort on. Older snapshots are rejected with an error naming
 	// both versions: rebuild the data directory from its source.
-	SchemaVersion = 3
+	SchemaVersion = 4
 
 	// sectionCount is the number of entries in the section table.
 	sectionCount = 3
@@ -89,7 +91,8 @@ func EncodeState(st *State) []byte {
 }
 
 // sizeHint bounds the encoded size of a state: the bulk — document
-// texts, token blocks, posting lists, fact columns, provenance — exactly,
+// texts, token blocks, posting lists, fact columns, the provenance
+// dictionary — exactly,
 // plus a full-width varint for every length or count framing it. Encoding
 // into one buffer of that capacity spares a large image the chain of
 // re-grown copies an append-grown buffer leaves behind, which at 100k
@@ -116,9 +119,9 @@ func sizeHint(st *State) int {
 			for _, col := range fs.Measures {
 				n += v + 8*len(col)
 			}
-			n += 4 * len(fs.ProvRows)
-			for _, val := range fs.ProvVals {
-				n += v + len(val)
+			n += v + 4*len(fs.SourceCodes)
+			for _, src := range fs.Sources {
+				n += v + len(src)
 			}
 		}
 	}
@@ -264,8 +267,8 @@ func encodeDW(w *writer, snap *dw.Snapshot) {
 		for _, col := range fs.Measures {
 			w.f64s(col)
 		}
-		w.i32s(fs.ProvRows)
-		w.strs(fs.ProvVals)
+		w.strs(fs.Sources)
+		w.i32s(fs.SourceCodes)
 	}
 }
 
@@ -306,8 +309,8 @@ func decodeDW(r *reader) *dw.Snapshot {
 		for c := 0; c < nMeasures && r.err == nil; c++ {
 			fs.Measures = append(fs.Measures, r.f64s())
 		}
-		fs.ProvRows = r.i32s()
-		fs.ProvVals = r.strs()
+		fs.Sources = r.strs()
+		fs.SourceCodes = r.i32s()
 		snap.Facts = append(snap.Facts, fs)
 	}
 	return snap

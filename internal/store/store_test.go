@@ -442,3 +442,47 @@ func TestSizeHintBoundsImage(t *testing.T) {
 		t.Fatalf("encoded image is %d bytes, over the %d-byte hint: EncodeState re-grows its buffer", len(data), hint)
 	}
 }
+
+// TestProvenanceStoredByReference pins what provenance costs in an
+// image: a fact whose 1,200 rows cite three source pages stores the three
+// pages once and one 4-byte code per row, and a fact whose rows cite no
+// page stores no code column at all.
+func TestProvenanceStoredByReference(t *testing.T) {
+	pages := []string{"http://w/bcn/january", "http://w/bcn/february", "http://w/bcn/march"}
+	image := func(withSources bool) []byte {
+		wh, err := dw.New(testSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := []dw.MemberSpec{{Dim: "City", Level: "Country", Name: "Spain"}, {Dim: "City", Level: "City", Name: "Barcelona", Parent: "Spain"}}
+		var rows []dw.FactRow
+		for d := 0; d < 1200; d++ {
+			month, day := fmt.Sprintf("2004-%02d", d/28+1), fmt.Sprintf("2004-%02d-%02d", d/28+1, d%28+1)
+			specs = append(specs, dw.MemberSpec{Dim: "Date", Level: "Month", Name: month}, dw.MemberSpec{Dim: "Date", Level: "Day", Name: day, Parent: month})
+			row := dw.FactRow{Coords: map[string]string{"City": "Barcelona", "Date": day}, Measures: map[string]float64{"TempC": float64(d % 30)}}
+			if withSources {
+				row.Provenance = pages[d%len(pages)]
+			}
+			rows = append(rows, row)
+		}
+		if err := wh.AddBatch(specs, "Weather", rows); err != nil {
+			t.Fatal(err)
+		}
+		return EncodeState(&State{DW: wh.Export(), IR: &ir.Snapshot{}, Onto: &ontology.Snapshot{}})
+	}
+	bare, cited := image(false), image(true)
+	if len(bare) != 35_362 {
+		t.Errorf("image without provenance is %d bytes, want 35362", len(bare))
+	}
+	// Three length-prefixed pages, 4 bytes per code, and one more byte
+	// for the code column's length prefix (1200 takes two varint bytes
+	// where the empty column's 0 took one).
+	want := len(bare) + 1 + 4*1200
+	for _, p := range pages {
+		want += 1 + len(p)
+	}
+	if len(cited) != want {
+		t.Errorf("image with provenance is %d bytes, want %d: the %d-byte bare image plus the dictionary and one code per row",
+			len(cited), want, len(bare))
+	}
+}
