@@ -492,6 +492,8 @@ func (p *Pipeline) Engine() (*engine.Engine, error) {
 	// The analytic path: Ask/AskAll classify every question and dispatch
 	// analytic ones to the compiled OLAP engine instead of the factoid
 	// modules (DESIGN.md §6).
+	trans.SetProbeCounter(reg.Counter("dwqa_nl2olap_member_probes_total",
+		"Grounding-dictionary lookups the analytic translator made."))
 	eng.SetTranslator(trans)
 	if p.Cluster.Shards() > 1 {
 		// Per-shard fan-out latency lands in the engine's stage

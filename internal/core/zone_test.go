@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dwqa/internal/core"
+	"dwqa/internal/dw"
 	"dwqa/internal/engine"
 	"dwqa/internal/seed"
 )
@@ -33,6 +34,43 @@ func askWork(t *testing.T, eng *engine.Engine, question string) (engine.AskResul
 	}
 	rows, zones := dwWork(eng)
 	return r, rows - rows0, zones - zones0
+}
+
+// weatherColumn reads one role of the Weather fact out of an export of
+// the warehouse: the base-level member name of every row, in row order.
+func weatherColumn(t *testing.T, wh *dw.Warehouse, role string) []string {
+	t.Helper()
+	fc := wh.Schema().Fact("Weather")
+	ri := -1
+	for i, ref := range fc.Dimensions {
+		if ref.Role == role {
+			ri = i
+		}
+	}
+	if ri < 0 {
+		t.Fatalf("Weather has no role %q", role)
+	}
+	dim := wh.Schema().Dimension(fc.Dimensions[ri].Dimension)
+	snap := wh.Export()
+	var members []dw.Member
+	for _, ds := range snap.Dims {
+		for _, ls := range ds.Levels {
+			if ds.Dim == dim.Name && ls.Level == dim.Base().Name {
+				members = ls.Members
+			}
+		}
+	}
+	for _, fs := range snap.Facts {
+		if fs.Fact == "Weather" {
+			out := make([]string, fs.Rows)
+			for row, key := range fs.Coords[ri][:fs.Rows] {
+				out[row] = members[key].Name
+			}
+			return out
+		}
+	}
+	t.Fatal("export holds no Weather fact")
+	return nil
 }
 
 // TestDWWorkCountersDeterministic asks the canonical analytic questions
@@ -88,13 +126,11 @@ func TestRestoredZonePruning(t *testing.T) {
 
 	// The row range of 1998, read off the Date coordinates.
 	first1999 := -1
-	if err := wh.ScanFact("Weather", []string{"Date"}, func(row int, names []string, _ string) error {
-		if first1999 < 0 && strings.HasPrefix(names[0], "1999-") {
+	for row, day := range weatherColumn(t, wh, "Date") {
+		if strings.HasPrefix(day, "1999-") {
 			first1999 = row
+			break
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if first1999 <= 0 {
 		t.Fatalf("seeded directory holds no 1999 rows after %d rows", restored)
@@ -130,15 +166,9 @@ func TestRestoredZonePruning(t *testing.T) {
 	if got := wh.FactCount("Weather"); got != restored+res[0].Loaded {
 		t.Fatalf("feed appended %d rows, want %d", got-restored, res[0].Loaded)
 	}
-	var city string
-	var day time.Time
-	if err := wh.ScanFact("Weather", []string{"City", "Date"}, func(row int, names []string, _ string) error {
-		if row == restored {
-			city = names[0]
-			day, err = time.Parse("2006-01-02", names[1])
-		}
-		return err
-	}); err != nil {
+	city := weatherColumn(t, wh, "City")[restored]
+	day, err := time.Parse("2006-01-02", weatherColumn(t, wh, "Date")[restored])
+	if err != nil {
 		t.Fatal(err)
 	}
 	fed := fmt.Sprintf("Average temperature in %s in %s of %d", city, day.Month(), day.Year())

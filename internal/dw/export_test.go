@@ -162,3 +162,43 @@ func (w *Warehouse) FactProvenance(fact string, row int) (string, error) {
 	}
 	return fd.rowSource(row), nil
 }
+
+// ScanFact calls fn for every row of a fact with the base-level member
+// names of the requested roles (in the given order) and the row's
+// provenance string — the row-level view the snapshot and provenance
+// tests read back. The names slice is reused across calls; copy it if
+// it must outlive fn.
+func (w *Warehouse) ScanFact(fact string, roles []string, fn func(row int, names []string, provenance string) error) error {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	fd, ok := w.facts[fact]
+	if !ok {
+		return fmt.Errorf("dw: unknown fact %q", fact)
+	}
+	cols := make([][]int32, len(roles))
+	tables := make([]*levelTable, len(roles))
+	for i, role := range roles {
+		ri, ok := fd.roleIdx[role]
+		if !ok {
+			return fmt.Errorf("dw: fact %q has no role %q", fact, role)
+		}
+		cols[i] = fd.coords[ri]
+		ref := fd.class.Dimensions[ri]
+		dd := w.dims[ref.Dimension]
+		tables[i] = dd.levels[dd.class.Base().Name]
+	}
+	names := make([]string, len(roles))
+	for row := 0; row < fd.rows; row++ {
+		for i := range roles {
+			key := int(cols[i][row])
+			if key < 0 || key >= len(tables[i].members) {
+				return fmt.Errorf("dw: fact %q row %d role %q: key %d out of range", fact, row, roles[i], key)
+			}
+			names[i] = tables[i].members[key].Name
+		}
+		if err := fn(row, names, fd.rowSource(row)); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -211,7 +211,7 @@ func TestAddMembersIdempotent(t *testing.T) {
 	}
 }
 
-// TestScanFact checks the recovery accessor resolves coordinates back to
+// TestScanFact checks the test accessor resolves coordinates back to
 // member names with provenance.
 func TestScanFact(t *testing.T) {
 	w, err := New(snapTestSchema())

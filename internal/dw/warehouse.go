@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dwqa/internal/mdm"
 	"dwqa/internal/obs"
@@ -62,7 +63,28 @@ type Warehouse struct {
 
 	memoMu  sync.Mutex
 	rollups map[rollupMemoKey][]int32
+
+	// memberGen is the member generation: a value drawn from memberGens
+	// whenever the set of member names changes. See MemberGeneration.
+	memberGen atomic.Uint64
 }
+
+// memberGens is the process-wide source of member generations. One
+// counter across all warehouses means a warehouse swapped in for
+// another (a follower's snapshot reload, InstallState) never reports a
+// generation a reader already saw from the one it replaced.
+var memberGens atomic.Uint64
+
+// MemberGeneration identifies the warehouse's current set of member
+// names: it changes, under the write lock, with every member a commit
+// adds and with every Import, and at no other time. Caches derived from
+// member names (the analytic translator's grounding dictionary) compare
+// it to decide whether to rebuild. It is a lock-free load.
+func (w *Warehouse) MemberGeneration() uint64 { return w.memberGen.Load() }
+
+// bumpMembersLocked records a change to the member names. Caller holds
+// the write lock.
+func (w *Warehouse) bumpMembersLocked() { w.memberGen.Store(memberGens.Add(1)) }
 
 // Journal receives the warehouse's committed write batches — the redo log
 // of the durability subsystem (internal/store). Implementations append
@@ -127,6 +149,7 @@ func New(schema *mdm.Schema) (*Warehouse, error) {
 	for _, f := range schema.Facts {
 		w.facts[f.Name] = newFactData(f)
 	}
+	w.bumpMembersLocked()
 	return w, nil
 }
 
@@ -177,6 +200,7 @@ func (w *Warehouse) addMemberLocked(s MemberSpec) error {
 		return nil
 	}
 	w.invalidateRollups()
+	w.bumpMembersLocked()
 	key := len(lt.members)
 	cp := make(map[string]string, len(s.Attrs))
 	for k, v := range s.Attrs {

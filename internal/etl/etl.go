@@ -35,6 +35,9 @@ import (
 // Mixed-case words ("McMurdo", "O'Hare") pass through untouched: only a
 // fully upper-cased word (more than one letter) is treated as shouting.
 func CanonicalCity(s string) string {
+	if isCanonicalCity(s) {
+		return s
+	}
 	fields := strings.Fields(s)
 	for i, f := range fields {
 		if allUpper(f) {
@@ -48,6 +51,27 @@ func CanonicalCity(s string) string {
 		}
 	}
 	return strings.Join(fields, " ")
+}
+
+// isCanonicalCity reports, without allocating, that CanonicalCity(s) ==
+// s: s is single-spaced ASCII words, none of which is upper-case
+// throughout or starts with a lower-case letter.
+func isCanonicalCity(s string) bool {
+	start := 0
+	for i := 0; i <= len(s); i++ {
+		if i < len(s) && s[i] != ' ' {
+			if c := s[i]; c >= 0x80 || ('\t' <= c && c <= '\r') {
+				return false
+			}
+			continue
+		}
+		w := s[start:i]
+		if w == "" || allUpper(w) || ('a' <= w[0] && w[0] <= 'z') {
+			return false
+		}
+		start = i + 1
+	}
+	return true
 }
 
 // allUpper reports whether the word consists of at least two letters,

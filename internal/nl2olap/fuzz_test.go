@@ -17,7 +17,9 @@ import (
 //   - translation is deterministic: the same input always compiles to
 //     the same plan;
 //   - rejected questions are classified: either factoid (ErrFactoid) or
-//     a descriptive analytic error, never both.
+//     a descriptive analytic error, never both;
+//   - the resolver grounds like the per-level probe reference: the same
+//     plan, or the same error.
 func FuzzTranslate(f *testing.F) {
 	for _, s := range []string{
 		"What is the average temperature in Barcelona by month?",
@@ -51,6 +53,10 @@ func FuzzTranslate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, question string) {
 		tr, wh := fixture(t)
 		res, err := tr.Translate(question)
+		ref, refErr := tr.TranslateReference(question)
+		if d := sameOutcome(res, err, ref, refErr); d != "" {
+			t.Fatalf("translation of %q: %s", question, d)
+		}
 		if err != nil {
 			if res != nil {
 				t.Fatal("error with a non-nil translation")

@@ -11,7 +11,10 @@
 // roles and roll-up levels; the warehouse's dimension tables ground member
 // mentions ("Barcelona" → City member, "January" → Date filter); and the
 // Step 2/3 ontology lexicon resolves domain instances and their aliases
-// ("El Prat", "BCN" → the Barcelona city member via locatedIn).
+// ("El Prat", "BCN" → the Barcelona city member via locatedIn). Both
+// sources are read through one resolver (resolver.go): a dictionary from
+// phrase to grounding candidates, rebuilt only when the warehouse's
+// member names or the ontology's instances change.
 //
 // A Translator first classifies a question: questions without an
 // aggregation keyword and a resolvable measure (or countable fact) are
@@ -26,14 +29,18 @@ package nl2olap
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dwqa/internal/dw"
 	"dwqa/internal/etl"
 	"dwqa/internal/mdm"
 	"dwqa/internal/nlp"
+	"dwqa/internal/obs"
 	"dwqa/internal/ontology"
 	"dwqa/internal/sbparser"
 )
@@ -62,10 +69,11 @@ type TimeSpec struct {
 
 // Translator compiles analytical questions against one warehouse. It is
 // safe for concurrent use once configured: Translate and Answer only read
-// the vocabulary tables and take the warehouse's read locks, so any number
-// of serving workers may translate while Step 5 feeds load. The Add*/Set*
-// configuration methods are not concurrent with translation — configure
-// first, then serve (the pipeline wires it exactly that way).
+// the vocabulary tables and the published resolver and take the
+// warehouse's read locks, so any number of serving workers may translate
+// while Step 5 feeds load. The Add*/Set* configuration methods are not
+// concurrent with translation — configure first, then serve (the
+// pipeline wires it exactly that way); SetProbeCounter is the exception.
 type Translator struct {
 	schema *mdm.Schema
 	wh     Warehouse
@@ -77,18 +85,26 @@ type Translator struct {
 	rolePref []string              // tie-break order for ambiguous roles
 	prepRole map[string]string     // preposition lemma → preferred role
 	time     TimeSpec
+
+	// res is the published member resolver; resMu makes its rebuild
+	// single-flight.
+	res   atomic.Pointer[resolver]
+	resMu sync.Mutex
+
+	probes atomic.Pointer[obs.Counter]
 }
 
 // Warehouse is what the translator needs from its OLAP back end: the
-// schema to derive vocabulary from, member probes for grounding, and
-// validated execution. A single *dw.Warehouse satisfies it directly; a
-// sharded cluster satisfies it by scatter/gather (internal/shard).
+// schema to derive vocabulary from, member names and their generation
+// for the grounding resolver, and validated execution. A single
+// *dw.Warehouse satisfies it directly; a sharded cluster satisfies it by
+// scatter/gather (internal/shard).
 type Warehouse interface {
 	Schema() *mdm.Schema
 	Validate(q dw.Query) error
 	Execute(q dw.Query) (*dw.Result, error)
 	Members(dim, level string) []string
-	MemberKey(dim, level, name string) (int, error)
+	MemberGeneration() uint64
 }
 
 // New builds a translator over a warehouse. The vocabulary is derived from
@@ -207,13 +223,18 @@ func (t *Translator) SetPrepositionRole(prep, role string) {
 	t.prepRole[strings.ToLower(prep)] = role
 }
 
-// Translation is one compiled question: the validated plan plus the
-// grounding trail (which word resolved to which metadata object), in
-// discovery order, for traces and the golden corpus.
+// SetProbeCounter attaches the counter Translate adds its resolver
+// lookups to, once per translation. Safe to call while translating; nil
+// detaches it.
+func (t *Translator) SetProbeCounter(c *obs.Counter) {
+	t.probes.Store(c)
+}
+
+// Translation is one compiled question: the validated plan and the
+// filters whose values track a level's live members.
 type Translation struct {
 	Question string
 	Query    dw.Query
-	Notes    []string
 	// DynamicFilters names the (role, level) pairs whose filter values
 	// were enumerated from the warehouse's current member list rather
 	// than written literally in the question (a bare "in January" with
@@ -268,8 +289,20 @@ func (tr *Translation) PlanString() string {
 // Translate classifies and compiles one question. Factoid questions
 // return ErrFactoid; analytic questions either compile to a plan the
 // warehouse has validated, or fail with a grounding error that names the
-// word the metadata could not absorb.
+// word the metadata could not absorb. Member mentions ground against the
+// current resolver; the lookups it took are added to the probe counter
+// once.
 func (t *Translator) Translate(question string) (*Translation, error) {
+	g := grounder{t: t, lex: t.currentResolver()}
+	tr, err := t.translate(question, &g)
+	if c := t.probes.Load(); c != nil && g.probes > 0 {
+		c.Add(uint64(g.probes))
+	}
+	return tr, err
+}
+
+// translate compiles one question, grounding member mentions through g.
+func (t *Translator) translate(question string, g *grounder) (*Translation, error) {
 	q := strings.TrimSpace(question)
 	if q == "" {
 		return nil, ErrFactoid
@@ -283,7 +316,7 @@ func (t *Translator) Translate(question string) (*Translation, error) {
 	tr := &Translation{Question: q}
 
 	// 1. Aggregation intent: no keyword, no analytic question.
-	agg, ok := t.findAgg(toks, used, tr)
+	agg, ok := t.findAgg(toks, used)
 	if !ok {
 		return nil, ErrFactoid
 	}
@@ -291,7 +324,7 @@ func (t *Translator) Translate(question string) (*Translation, error) {
 	// 2. Measure or countable fact: the anchor that selects the fact
 	// table. Without one the aggregation word is conversational ("how
 	// many terms did La Guardia serve?") and the factoid path owns it.
-	mref, countFact := t.findMeasure(toks, used, tr)
+	mref, countFact := t.findMeasure(toks, used)
 	var fact, measure string
 	switch {
 	case mref != nil:
@@ -309,7 +342,6 @@ func (t *Translator) Translate(question string) (*Translation, error) {
 					agg, fact, len(fc.Measures))
 			}
 			measure = fc.Measures[0].Name
-			tr.note("measure defaulted to %s.%s", fact, measure)
 		}
 	default:
 		return nil, ErrFactoid
@@ -318,21 +350,18 @@ func (t *Translator) Translate(question string) (*Translation, error) {
 
 	// 3. Group-by selections: "by city", "per destination city",
 	// "for each month and country".
-	groupBy, err := t.findGroupBy(toks, used, fc, tr)
-	if err != nil {
-		return nil, err
-	}
+	groupBy := t.findGroupBy(toks, used, fc)
 
 	// 4. Temporal constraints, via the same shallow date parser the QA
 	// side uses, compiled to filters at the finest level mentioned.
-	filters, err := t.dateFilters(toks, used, fc, tr)
+	filters, err := t.dateFilters(toks, used, fc, tr, g.lex)
 	if err != nil {
 		return nil, err
 	}
 
 	// 5. Member grounding: remaining content words resolved against the
 	// dimension tables and the ontology lexicon.
-	filters, err = t.groundMembers(toks, used, fc, filters, tr)
+	filters, err = g.groundMembers(toks, used, fc, filters)
 	if err != nil {
 		return nil, err
 	}
@@ -387,11 +416,6 @@ func (t *Translator) AnswerTimed(question string) (*Answer, Timings, error) {
 	return &Answer{Translation: *tr, Result: res}, tm, nil
 }
 
-// note appends one grounding-trail line.
-func (tr *Translation) note(format string, args ...any) {
-	tr.Notes = append(tr.Notes, fmt.Sprintf(format, args...))
-}
-
 // defaultAggWords is the built-in aggregation keyword inventory.
 func defaultAggWords() map[string]dw.Agg {
 	return map[string]dw.Agg{
@@ -407,7 +431,7 @@ func defaultAggWords() map[string]dw.Agg {
 
 // findAgg locates the first aggregation keyword ("how many"/"how much"
 // count as one). Returns false when the question carries none.
-func (t *Translator) findAgg(toks []nlp.Token, used []bool, tr *Translation) (dw.Agg, bool) {
+func (t *Translator) findAgg(toks []nlp.Token, used []bool) (dw.Agg, bool) {
 	for i := range toks {
 		if used[i] {
 			continue
@@ -424,7 +448,6 @@ func (t *Translator) findAgg(toks []nlp.Token, used []bool, tr *Translation) (dw
 					agg = dw.Sum
 				}
 				used[i], used[i+1] = true, true
-				tr.note("aggregation %q → %s", "how "+next, agg)
 				return agg, true
 			}
 		}
@@ -434,7 +457,6 @@ func (t *Translator) findAgg(toks []nlp.Token, used []bool, tr *Translation) (dw
 			if agg == dw.Count && i+1 < len(toks) && strings.EqualFold(toks[i+1].Text, "of") {
 				used[i+1] = true
 			}
-			tr.note("aggregation %q → %s", lower, agg)
 			return agg, true
 		}
 	}
@@ -443,17 +465,13 @@ func (t *Translator) findAgg(toks []nlp.Token, used []bool, tr *Translation) (dw
 
 // findMeasure scans left to right, longest phrase first, for a measure
 // synonym; failing that, for a countable-fact synonym.
-func (t *Translator) findMeasure(toks []nlp.Token, used []bool, tr *Translation) (*measureRef, string) {
-	if key, span, ok := matchPhrase(toks, used, func(key string) bool { _, ok := t.measures[key]; return ok }); ok {
-		m := t.measures[key]
+func (t *Translator) findMeasure(toks []nlp.Token, used []bool) (*measureRef, string) {
+	if m, span, ok := matchPhrase(toks, used, t.measures); ok {
 		markUsed(used, span)
-		tr.note("measure %q → %s.%s", key, m.fact, m.measure)
 		return &m, ""
 	}
-	if key, span, ok := matchPhrase(toks, used, func(key string) bool { _, ok := t.counts[key]; return ok }); ok {
-		fact := t.counts[key]
+	if fact, span, ok := matchPhrase(toks, used, t.counts); ok {
 		markUsed(used, span)
-		tr.note("count target %q → %s", key, fact)
 		return nil, fact
 	}
 	return nil, ""
@@ -463,8 +481,9 @@ func (t *Translator) findMeasure(toks []nlp.Token, used []bool, tr *Translation)
 const maxPhraseLen = 4
 
 // matchPhrase finds the leftmost longest unconsumed token span whose
-// normalised join satisfies ok.
-func matchPhrase(toks []nlp.Token, used []bool, ok func(string) bool) (string, [2]int, bool) {
+// normalised join is a key of vocab, and returns its value.
+func matchPhrase[V any](toks []nlp.Token, used []bool, vocab map[string]V) (V, [2]int, bool) {
+	var buf [64]byte
 	for i := range toks {
 		if used[i] {
 			continue
@@ -473,13 +492,61 @@ func matchPhrase(toks []nlp.Token, used []bool, ok func(string) bool) (string, [
 			if i+l > len(toks) || anyUsed(used, i, i+l) {
 				continue
 			}
-			key := normSpan(toks[i : i+l])
-			if key != "" && ok(key) {
-				return key, [2]int{i, i + l}, true
+			if v, ok := lookupSpan(vocab, toks[i:i+l], buf[:0]); ok {
+				return v, [2]int{i, i + l}, true
 			}
 		}
 	}
-	return "", [2]int{}, false
+	var zero V
+	return zero, [2]int{}, false
+}
+
+// lookupSpan looks a token span up under its non-empty normSpan key. An
+// ASCII span is normalised into buf, so its lookup allocates nothing.
+func lookupSpan[V any](vocab map[string]V, toks []nlp.Token, buf []byte) (v V, ok bool) {
+	key, ascii := buf, true
+	for _, t := range toks {
+		if key, ascii = appendFolded(key, t.Text, true); !ascii {
+			break
+		}
+	}
+	switch {
+	case !ascii:
+		if k := normSpan(toks); k != "" {
+			v, ok = vocab[k]
+		}
+	case len(key) > 0:
+		v, ok = vocab[string(key)]
+	}
+	return v, ok
+}
+
+// appendFolded appends the words of s to dst, lower-cased and separated
+// by single spaces, a space also separating them from words already in
+// dst. A run of whitespace, or of hyphens when hyphens is set, separates
+// words. For ASCII this is normPhrase (hyphens set) or
+// ontology.Normalize (hyphens clear) of dst's words followed by s's. It
+// reports false at the first non-ASCII byte.
+func appendFolded(dst []byte, s string, hyphens bool) ([]byte, bool) {
+	sep := len(dst) > 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= 0x80:
+			return dst, false
+		case c == ' ' || ('\t' <= c && c <= '\r') || (hyphens && c == '-'):
+			sep = true
+		default:
+			if sep && len(dst) > 0 {
+				dst = append(dst, ' ')
+			}
+			sep = false
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			dst = append(dst, c)
+		}
+	}
+	return dst, true
 }
 
 func anyUsed(used []bool, from, to int) bool {
@@ -500,27 +567,18 @@ func markUsed(used []bool, span [2]int) {
 // groupMarkerAt reports whether a group-by marker starts at i and how many
 // tokens it spans: "by", "per", "for each", "grouped by", "broken down by".
 func groupMarkerAt(toks []nlp.Token, i int) int {
-	lower := func(j int) string {
-		if j >= len(toks) {
-			return ""
-		}
-		return strings.ToLower(toks[j].Text)
+	is := func(j int, word string) bool {
+		return j < len(toks) && strings.EqualFold(toks[j].Text, word)
 	}
-	switch lower(i) {
-	case "by", "per":
+	switch {
+	case is(i, "by") || is(i, "per"):
 		return 1
-	case "for":
-		if lower(i+1) == "each" || lower(i+1) == "every" {
-			return 2
-		}
-	case "grouped":
-		if lower(i+1) == "by" {
-			return 2
-		}
-	case "broken":
-		if lower(i+1) == "down" && lower(i+2) == "by" {
-			return 3
-		}
+	case is(i, "for") && (is(i+1, "each") || is(i+1, "every")):
+		return 2
+	case is(i, "grouped") && is(i+1, "by"):
+		return 2
+	case is(i, "broken") && is(i+1, "down") && is(i+2, "by"):
+		return 3
 	}
 	return 0
 }
@@ -528,16 +586,9 @@ func groupMarkerAt(toks []nlp.Token, i int) int {
 // findGroupBy parses every group-by marker and resolves its selections to
 // (role, level) pairs of the fact. Exact duplicates collapse (asking "by
 // city per city" is redundant, not an error).
-func (t *Translator) findGroupBy(toks []nlp.Token, used []bool, fc *mdm.FactClass, tr *Translation) ([]dw.LevelSel, error) {
+func (t *Translator) findGroupBy(toks []nlp.Token, used []bool, fc *mdm.FactClass) []dw.LevelSel {
 	var out []dw.LevelSel
 	seen := map[dw.LevelSel]bool{}
-	add := func(sel dw.LevelSel, phrase string) {
-		if !seen[sel] {
-			seen[sel] = true
-			out = append(out, sel)
-			tr.note("group %q → %s/%s", phrase, sel.Role, sel.Level)
-		}
-	}
 	for i := 0; i < len(toks); i++ {
 		if used[i] {
 			continue
@@ -549,19 +600,22 @@ func (t *Translator) findGroupBy(toks []nlp.Token, used []bool, fc *mdm.FactClas
 		j := i + span
 		consumedAny := false
 		for {
-			sel, phrase, next, ok := t.parseSelection(toks, used, fc, j)
+			sel, next, ok := t.parseSelection(toks, used, fc, j)
 			if !ok {
 				break
 			}
 			markUsed(used, [2]int{j, next})
-			add(sel, phrase)
+			if !seen[sel] {
+				seen[sel] = true
+				out = append(out, sel)
+			}
 			consumedAny = true
 			j = next
 			// Coordinated selections: "by city and month". The connective
 			// is consumed only when another selection actually follows.
 			if j < len(toks) && !used[j] &&
 				(strings.EqualFold(toks[j].Text, "and") || toks[j].Text == ",") {
-				if _, _, _, more := t.parseSelection(toks, used, fc, j+1); more {
+				if _, _, more := t.parseSelection(toks, used, fc, j+1); more {
 					used[j] = true
 					j++
 					continue
@@ -573,39 +627,38 @@ func (t *Translator) findGroupBy(toks []nlp.Token, used []bool, fc *mdm.FactClas
 			markUsed(used, [2]int{i, i + span})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // parseSelection reads one group-by selection at position j: an optional
 // determiner, an optional role qualifier, then a level word — or a bare
 // role name, which selects the base level of its dimension ("per
 // destination" groups by airport).
-func (t *Translator) parseSelection(toks []nlp.Token, used []bool, fc *mdm.FactClass, j int) (dw.LevelSel, string, int, bool) {
+func (t *Translator) parseSelection(toks []nlp.Token, used []bool, fc *mdm.FactClass, j int) (dw.LevelSel, int, bool) {
 	for j < len(toks) && !used[j] && (toks[j].Tag == nlp.TagDT || strings.EqualFold(toks[j].Text, "each")) {
 		j++
 	}
 	if j >= len(toks) || used[j] {
-		return dw.LevelSel{}, "", j, false
+		return dw.LevelSel{}, j, false
 	}
-	word := strings.ToLower(toks[j].Text)
+	word := toks[j].Text
 
 	// Role qualifier + level: "destination city", "departure airport".
 	if role := t.roleNamed(fc, word); role != nil && j+1 < len(toks) && !used[j+1] {
-		levelWord := strings.ToLower(toks[j+1].Text)
-		if lvl := levelNamed(t.schema.Dimension(role.Dimension), levelWord); lvl != "" {
-			return dw.LevelSel{Role: role.Role, Level: lvl}, word + " " + levelWord, j + 2, true
+		if lvl := levelNamed(t.schema.Dimension(role.Dimension), toks[j+1].Text); lvl != "" {
+			return dw.LevelSel{Role: role.Role, Level: lvl}, j + 2, true
 		}
 	}
 	// Bare role: base level of its dimension.
 	if role := t.roleNamed(fc, word); role != nil {
 		base := t.schema.Dimension(role.Dimension).Base()
-		return dw.LevelSel{Role: role.Role, Level: base.Name}, word, j + 1, true
+		return dw.LevelSel{Role: role.Role, Level: base.Name}, j + 1, true
 	}
 	// Bare level word, resolved across the fact's roles.
 	if sel, ok := t.levelAcrossRoles(fc, word, ""); ok {
-		return sel, word, j + 1, true
+		return sel, j + 1, true
 	}
-	return dw.LevelSel{}, "", j, false
+	return dw.LevelSel{}, j, false
 }
 
 // roleNamed finds a fact role by (case-insensitive) name.
@@ -673,7 +726,7 @@ func pickRole(cands []dw.LevelSel, preferRole string, rolePref []string) (dw.Lev
 // them to filters on the fact's calendar role. Every month-name and
 // cardinal token is consumed whether or not it contributed — numbers
 // never ground as members.
-func (t *Translator) dateFilters(toks []nlp.Token, used []bool, fc *mdm.FactClass, tr *Translation) ([]dw.Filter, error) {
+func (t *Translator) dateFilters(toks []nlp.Token, used []bool, fc *mdm.FactClass, tr *Translation, lex lexicon) ([]dw.Filter, error) {
 	refs := sbparser.ExtractDates(sbparser.Parse(nlp.Sentence{Tokens: toks}))
 	for i, tok := range toks {
 		lower := strings.ToLower(tok.Text)
@@ -697,7 +750,7 @@ func (t *Translator) dateFilters(toks []nlp.Token, used []bool, fc *mdm.FactClas
 	}
 	values := map[string][]string{} // level → member values
 	for _, d := range refs {
-		level, vals, dynamic := t.dateMembers(d)
+		level, vals, dynamic := t.dateMembers(d, lex)
 		if level == "" {
 			continue
 		}
@@ -705,7 +758,6 @@ func (t *Translator) dateFilters(toks []nlp.Token, used []bool, fc *mdm.FactClas
 			tr.DynamicFilters = append(tr.DynamicFilters, dw.LevelSel{Role: timeRole, Level: level})
 		}
 		values[level] = append(values[level], vals...)
-		tr.note("date %s → %s/%s in {%s}", dateRefString(d), timeRole, level, strings.Join(vals, ", "))
 	}
 	var out []dw.Filter
 	for _, level := range []string{t.time.Day, t.time.Month, t.time.Year} {
@@ -721,10 +773,10 @@ func (t *Translator) dateFilters(toks []nlp.Token, used []bool, fc *mdm.FactClas
 
 // dateMembers maps one (possibly partial) date reference to a level and
 // the member names it selects. A bare month ("in January") enumerates the
-// matching month members the warehouse actually holds, across years —
-// that branch reports dynamic=true because its value set tracks the
-// level's live member population.
-func (t *Translator) dateMembers(d sbparser.DateRef) (level string, vals []string, dynamic bool) {
+// matching month members the warehouse actually holds, across years, from
+// the lexicon's sorted Month list — that branch reports dynamic=true
+// because its value set tracks the level's live member population.
+func (t *Translator) dateMembers(d sbparser.DateRef, lex lexicon) (level string, vals []string, dynamic bool) {
 	switch {
 	case d.Year != 0 && d.Month != 0 && d.Day != 0 && t.time.Day != "":
 		return t.time.Day, []string{fmt.Sprintf("%04d-%02d-%02d", d.Year, d.Month, d.Day)}, false
@@ -732,7 +784,7 @@ func (t *Translator) dateMembers(d sbparser.DateRef) (level string, vals []strin
 		return t.time.Month, []string{fmt.Sprintf("%04d-%02d", d.Year, d.Month)}, false
 	case d.Month != 0:
 		suffix := fmt.Sprintf("-%02d", d.Month)
-		for _, m := range t.wh.Members(t.time.Dimension, t.time.Month) {
+		for _, m := range lex.months() {
 			if strings.HasSuffix(m, suffix) {
 				vals = append(vals, m)
 			}
@@ -744,8 +796,12 @@ func (t *Translator) dateMembers(d sbparser.DateRef) (level string, vals []strin
 	return "", nil, false
 }
 
-func dateRefString(d sbparser.DateRef) string {
-	return fmt.Sprintf("%04d-%02d-%02d", d.Year, d.Month, d.Day)
+// grounder resolves one question's member mentions against a lexicon
+// and counts the lookups it makes (the probe counter's unit).
+type grounder struct {
+	t      *Translator
+	lex    lexicon
+	probes int
 }
 
 // groundMembers resolves the remaining content words as dimension members
@@ -754,7 +810,7 @@ func dateRefString(d sbparser.DateRef) string {
 // an analytic question naming an unknown entity — or carrying a
 // constraint the metadata cannot compile — must not silently widen to
 // the whole fact table.
-func (t *Translator) groundMembers(toks []nlp.Token, used []bool, fc *mdm.FactClass, filters []dw.Filter, tr *Translation) ([]dw.Filter, error) {
+func (g *grounder) groundMembers(toks []nlp.Token, used []bool, fc *mdm.FactClass, filters []dw.Filter) ([]dw.Filter, error) {
 	byKey := map[dw.LevelSel]int{} // (role, level) → index in filters
 	for i, f := range filters {
 		byKey[dw.LevelSel{Role: f.Role, Level: f.Level}] = i
@@ -768,20 +824,17 @@ func (t *Translator) groundMembers(toks []nlp.Token, used []bool, fc *mdm.FactCl
 			if i+l > len(toks) || anyUsed(used, i, i+l) {
 				continue
 			}
-			surface := surfaceSpan(toks[i : i+l])
-			sel, value, via, ok := t.groundOne(fc, surface, precedingPrep(toks, used, i))
+			sel, value, ok := g.groundOne(fc, surfaceSpan(toks[i:i+l]), precedingPrep(toks, used, i))
 			if !ok {
 				continue
 			}
 			markUsed(used, [2]int{i, i + l})
-			key := dw.LevelSel{Role: sel.Role, Level: sel.Level}
-			if idx, exists := byKey[key]; exists {
+			if idx, exists := byKey[sel]; exists {
 				filters[idx].Values = append(filters[idx].Values, value)
 			} else {
-				byKey[key] = len(filters)
+				byKey[sel] = len(filters)
 				filters = append(filters, dw.Filter{Role: sel.Role, Level: sel.Level, Values: []string{value}})
 			}
-			tr.note("member %q → %s/%s %q%s", surface, sel.Role, sel.Level, value, via)
 			i += l - 1
 			matched = true
 			break
@@ -822,35 +875,37 @@ func precedingPrep(toks []nlp.Token, used []bool, i int) string {
 }
 
 // groundOne resolves one surface form to a (role, level, member) of the
-// fact: first against the dimension tables (exact, then title-cased),
-// then through the ontology lexicon (instances and their aliases, with
-// locatedIn indirection for facts that lack the instance's own level).
-// via describes the indirection for the grounding trail.
-func (t *Translator) groundOne(fc *mdm.FactClass, surface, prep string) (dw.LevelSel, string, string, bool) {
+// fact: first against the dimension tables, then through the ontology
+// lexicon (instances and their aliases, with locatedIn indirection for
+// facts that lack the instance's own level). One lexicon lookup tells
+// whether either can hold the form, so a span that names nothing costs
+// that one lookup.
+func (g *grounder) groundOne(fc *mdm.FactClass, surface, prep string) (dw.LevelSel, string, bool) {
 	preferRole := ""
 	if prep != "" {
-		preferRole = t.prepRole[prep]
+		preferRole = g.t.prepRole[prep]
 	}
-	if sel, value, ok := t.memberLookup(fc, surface, preferRole); ok {
-		return sel, value, "", true
-	}
-	if t.onto != nil {
-		if concept, inst := t.onto.FindInstance(surface); inst != nil {
-			// The instance's concept may itself be a level of the fact
-			// ("El Prat" is an Airport member for the sales fact)...
-			if sel, value, ok := t.memberLookup(fc, inst.Name, preferRole); ok {
-				return sel, value, fmt.Sprintf(" (ontology %s)", concept), true
-			}
-			// ...or only reachable through its location ("El Prat" →
-			// Barcelona for the Weather fact's City role).
-			if city := inst.Properties["locatedIn"]; city != "" {
-				if sel, value, ok := t.memberLookup(fc, city, preferRole); ok {
-					return sel, value, fmt.Sprintf(" (ontology %s, locatedIn)", concept), true
-				}
-			}
+	g.probes++
+	member, inst, isInst := g.lex.phrase(surface)
+	if member {
+		if sel, value, ok := g.memberLookup(fc, surface, preferRole); ok {
+			return sel, value, true
 		}
 	}
-	return dw.LevelSel{}, "", "", false
+	if !isInst {
+		return dw.LevelSel{}, "", false
+	}
+	// The instance's concept may itself be a level of the fact ("El
+	// Prat" is an Airport member for the sales fact)...
+	if sel, value, ok := g.memberLookup(fc, inst.name, preferRole); ok {
+		return sel, value, true
+	}
+	// ...or only reachable through its location ("El Prat" → Barcelona
+	// for the Weather fact's City role).
+	if inst.locatedIn != "" {
+		return g.memberLookup(fc, inst.locatedIn, preferRole)
+	}
+	return dw.LevelSel{}, "", false
 }
 
 // memberLookup finds a member by name across every (role, level) of the
@@ -858,41 +913,48 @@ func (t *Translator) groundOne(fc *mdm.FactClass, surface, prep string) (dw.Leve
 // canonical form — the same etl.CanonicalCity the Step 5 feed path mints
 // members with, so "BARCELONA" and "el prat" ground to exactly the
 // members feeding created ("Barcelona", "El Prat") instead of depending
-// on a second, subtly different casing rule. Levels are probed
-// base-first, so "El Prat" grounds at Airport before City.
-func (t *Translator) memberLookup(fc *mdm.FactClass, surface, preferRole string) (dw.LevelSel, string, bool) {
-	names := []string{surface}
-	if tc := titleCase(surface); tc != surface {
-		names = append(names, tc)
-	}
-	if cc := etl.CanonicalCity(surface); cc != surface {
-		dup := false
-		for _, n := range names {
-			if n == cc {
-				dup = true
-				break
-			}
+// on a second, subtly different casing rule. Each form is one lexicon
+// lookup, which names the finest level holding it in every dimension, so
+// "El Prat" grounds at Airport before City.
+func (g *grounder) memberLookup(fc *mdm.FactClass, surface, preferRole string) (dw.LevelSel, string, bool) {
+	forms, n := memberForms(surface)
+	for _, name := range forms[:n] {
+		g.probes++
+		held := g.lex.members(name)
+		if len(held) == 0 {
+			continue
 		}
-		if !dup {
-			names = append(names, cc)
-		}
-	}
-	for _, name := range names {
-		var cands []dw.LevelSel
+		var buf [4]dw.LevelSel
+		cands := buf[:0]
 		for _, ref := range fc.Dimensions {
-			d := t.schema.Dimension(ref.Dimension)
-			for _, lvl := range d.Levels {
-				if _, err := t.wh.MemberKey(ref.Dimension, lvl.Name, name); err == nil {
-					cands = append(cands, dw.LevelSel{Role: ref.Role, Level: lvl.Name})
-					break // base-first: the finest level of this role wins
+			for _, h := range held {
+				if h.dim == ref.Dimension {
+					cands = append(cands, dw.LevelSel{Role: ref.Role, Level: h.level})
+					break
 				}
 			}
 		}
-		if sel, ok := pickRole(cands, preferRole, t.rolePref); ok {
+		if sel, ok := pickRole(cands, preferRole, g.t.rolePref); ok {
 			return sel, name, true
 		}
 	}
 	return dw.LevelSel{}, "", false
+}
+
+// memberForms lists the names a surface form may ground as, in lookup
+// order and without repeats: the form itself, its title-cased variant
+// and its etl.CanonicalCity form.
+func memberForms(surface string) (forms [3]string, n int) {
+	forms[0], n = surface, 1
+	if tc := titleCase(surface); tc != surface {
+		forms[n] = tc
+		n++
+	}
+	if cc := etl.CanonicalCity(surface); cc != surface && (n == 1 || cc != forms[1]) {
+		forms[n] = cc
+		n++
+	}
+	return forms, n
 }
 
 // canonicalFilters sorts filters by (role, level) and their values
@@ -903,11 +965,11 @@ func canonicalFilters(filters []dw.Filter) []dw.Filter {
 		sort.Strings(filters[i].Values)
 		filters[i].Values = dedupeSorted(filters[i].Values)
 	}
-	sort.Slice(filters, func(i, j int) bool {
-		if filters[i].Role != filters[j].Role {
-			return filters[i].Role < filters[j].Role
+	slices.SortFunc(filters, func(a, b dw.Filter) int {
+		if c := strings.Compare(a.Role, b.Role); c != 0 {
+			return c
 		}
-		return filters[i].Level < filters[j].Level
+		return strings.Compare(a.Level, b.Level)
 	})
 	return filters
 }
@@ -924,11 +986,22 @@ func dedupeSorted(vals []string) []string {
 
 // surfaceSpan joins token texts with single spaces.
 func surfaceSpan(toks []nlp.Token) string {
-	parts := make([]string, len(toks))
-	for i, t := range toks {
-		parts[i] = t.Text
+	if len(toks) == 1 {
+		return toks[0].Text
 	}
-	return strings.Join(parts, " ")
+	n := len(toks) - 1
+	for _, t := range toks {
+		n += len(t.Text)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, t := range toks {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(t.Text)
+	}
+	return b.String()
 }
 
 // normSpan normalises a token span for vocabulary lookup: lower-cased,
@@ -963,6 +1036,9 @@ func camelSplit(s string) string {
 
 // titleCase capitalises each word ("new york" → "New York").
 func titleCase(s string) string {
+	if isTitled(s) {
+		return s
+	}
 	fields := strings.Fields(s)
 	for i, f := range fields {
 		if len(f) > 0 {
@@ -970,4 +1046,28 @@ func titleCase(s string) string {
 		}
 	}
 	return strings.Join(fields, " ")
+}
+
+// isTitled reports, without allocating, that titleCase(s) == s: s is
+// single-spaced ASCII words, none of which starts with a lower-case
+// letter.
+func isTitled(s string) bool {
+	start := true
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= 0x80 || ('\t' <= c && c <= '\r'):
+			return false
+		case c == ' ':
+			if start {
+				return false // leading or doubled space
+			}
+			start = true
+		default:
+			if start && 'a' <= c && c <= 'z' {
+				return false
+			}
+			start = false
+		}
+	}
+	return !start
 }

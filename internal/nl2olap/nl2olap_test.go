@@ -9,6 +9,7 @@ import (
 	"dwqa/internal/core"
 	"dwqa/internal/dw"
 	"dwqa/internal/nl2olap"
+	"dwqa/internal/ontology"
 )
 
 // The fixture is the scenario warehouse with the Step 1-2 ontology (the
@@ -18,6 +19,7 @@ var (
 	fixOnce  sync.Once
 	fixTrans *nl2olap.Translator
 	fixWh    *dw.Warehouse
+	fixOnto  *ontology.Ontology
 )
 
 func fixture(t testing.TB) (*nl2olap.Translator, *dw.Warehouse) {
@@ -37,9 +39,15 @@ func fixture(t testing.TB) (*nl2olap.Translator, *dw.Warehouse) {
 		if err != nil {
 			panic(err)
 		}
-		fixTrans, fixWh = tr, p.Warehouse
+		fixTrans, fixWh, fixOnto = tr, p.Warehouse, p.Ontology
 	})
 	return fixTrans, fixWh
+}
+
+// fixtureOntology returns the fixture's Step 1-2 ontology.
+func fixtureOntology(t testing.TB) *ontology.Ontology {
+	fixture(t)
+	return fixOnto
 }
 
 // TestTranslatePlans pins the compiled plan for the workload shapes the

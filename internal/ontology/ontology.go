@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // AttrKind classifies a concept attribute following the UML profile of the
@@ -67,7 +68,19 @@ type Ontology struct {
 
 	mu       sync.RWMutex
 	concepts map[string]*Concept // key: Normalize(name)
+
+	// instGen counts the changes AddInstance made. See
+	// InstanceGeneration.
+	instGen atomic.Uint64
 }
+
+// InstanceGeneration identifies the ontology's current instances: it
+// moves, under the write lock, whenever AddInstance adds an instance or
+// an alias or changes a property, and at no other time. Caches derived
+// from the instance lexicon (the analytic translator's grounding
+// dictionary) compare it to decide whether to rebuild. It is a
+// lock-free load.
+func (o *Ontology) InstanceGeneration() uint64 { return o.instGen.Load() }
 
 // New returns an empty ontology with the given name.
 func New(name string) *Ontology {
@@ -260,15 +273,20 @@ func (o *Ontology) AddInstance(concept string, inst Instance) *Instance {
 		}
 		cp.Aliases = append([]string(nil), inst.Aliases...)
 		c.Instances[key] = &cp
+		o.instGen.Add(1)
 		return &cp
 	}
 	for _, a := range inst.Aliases {
 		if !containsFold(cur.Aliases, a) {
 			cur.Aliases = append(cur.Aliases, a)
+			o.instGen.Add(1)
 		}
 	}
 	for k, v := range inst.Properties {
-		cur.Properties[k] = v
+		if old, ok := cur.Properties[k]; !ok || old != v {
+			cur.Properties[k] = v
+			o.instGen.Add(1)
+		}
 	}
 	return cur
 }
@@ -327,12 +345,7 @@ func (o *Ontology) FindInstance(name string) (string, *Instance) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	// Deterministic order: scan concepts sorted by name.
-	names := make([]string, 0, len(o.concepts))
-	for k := range o.concepts {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, ck := range names {
+	for _, ck := range sortedKeys(o.concepts) {
 		c := o.concepts[ck]
 		if inst, ok := c.Instances[key]; ok {
 			return c.Name, inst
@@ -344,6 +357,41 @@ func (o *Ontology) FindInstance(name string) (string, *Instance) {
 		}
 	}
 	return "", nil
+}
+
+// EachInstanceKey calls fn once for every name and every alias of every
+// instance, with its normalised form as key, in the order FindInstance
+// searches: concepts by normalised name, and within a concept every
+// instance name before any alias, instances by normalised name. So the
+// first call for a key names the instance FindInstance(key) returns —
+// except where two instances of one concept share an alias, which
+// FindInstance resolves in map order and this walk in name order. fn
+// runs under the read lock and must not call back into the ontology.
+func (o *Ontology) EachInstanceKey(fn func(key, concept string, inst *Instance)) {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	for _, ck := range sortedKeys(o.concepts) {
+		c := o.concepts[ck]
+		keys := sortedKeys(c.Instances)
+		for _, ik := range keys {
+			fn(ik, c.Name, c.Instances[ik])
+		}
+		for _, ik := range keys {
+			inst := c.Instances[ik]
+			for _, a := range inst.Aliases {
+				fn(Normalize(a), c.Name, inst)
+			}
+		}
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // IsA reports whether concept child is (transitively) a subclass of

@@ -340,6 +340,12 @@ func (c *Cluster) Execute(q dw.Query) (*dw.Result, error) {
 // 0 answers).
 func (c *Cluster) Members(dim, level string) []string { return c.Node(0).WH.Members(dim, level) }
 
+// MemberGeneration reports shard 0's member generation. Members are
+// replicated, so shard 0's names are the cluster's, and a follower's
+// reload swaps in a warehouse whose generation no earlier one reported
+// (dw.Warehouse.MemberGeneration).
+func (c *Cluster) MemberGeneration() uint64 { return c.Node(0).WH.MemberGeneration() }
+
 // MemberKey resolves a member name to its dense key (identical on every
 // shard).
 func (c *Cluster) MemberKey(dim, level, name string) (int, error) {
